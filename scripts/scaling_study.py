@@ -29,14 +29,11 @@ def main(argv=None) -> int:
     ap.add_argument("--genus-list", default="4,8,16,32,64")
     ap.add_argument("--length", type=float, default=0.09)
     ap.add_argument("--epsilon", type=float, default=0.05)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--output", default=None, help="write the CSV here")
     args = ap.parse_args(argv)
 
     genus_list = [int(tok) for tok in args.genus_list.split(",") if tok]
-    rows = scaling_study(
-        genus_list, args.length, args.epsilon, threads=args.threads
-    )
+    rows = scaling_study(genus_list, args.length, args.epsilon)
     csv_text = scaling_rows_to_csv(rows)
     if args.output:
         with open(args.output, "w") as fh:

@@ -41,6 +41,7 @@ from .spectral import (
     scaling_study,
 )
 from .spectral.corpus import crossing_corpus, cutoff_corpus
+from .spectral.report import collar_modes
 from .surfaces import (
     ChainFamilyParams,
     InvalidSurfaceError,
@@ -158,20 +159,6 @@ def cmd_cuts(args) -> int:
     return EXIT_OK
 
 
-def _collar_mode_table(ttd, n_rho: int) -> dict[str, float]:
-    cache: dict[tuple[float, float], float] = {}
-    table: dict[str, float] = {}
-    for tc in ttd.thin_collars:
-        w = tc.collar.half_width
-        if w == 0.0:
-            continue
-        key = (tc.collar.core_length, w)
-        if key not in cache:
-            cache[key] = collar_dirichlet_lambda1(key[0], key[1], n=n_rho)
-        table[tc.label] = cache[key]
-    return table
-
-
 def cmd_spectrum(args) -> int:
     surface = _surface_from_args(args)
     ttd = decompose(surface, args.epsilon, force=args.force_epsilon)
@@ -194,7 +181,9 @@ def cmd_spectrum(args) -> int:
                 "network": model_dict,
                 "network_lambda1": lam,
                 "network_note": note,
-                "collar_ode_lambda1": _collar_mode_table(ttd, args.n_rho),
+                "collar_ode_lambda1": {
+                    m.label: m.lambda1 for m in collar_modes(ttd, args.n_rho)
+                },
             }
         ),
     )

@@ -10,10 +10,12 @@ Sturm-Liouville problems indexed by the circular mode k:
 Each mode is discretized by second-order finite differences on a
 uniform grid; the similarity transform by sqrt(cosh) makes the matrix
 symmetric tridiagonal, so the smallest eigenvalue comes from a
-targeted LAPACK solve.  Two grids (n and 2n) feed a Richardson
-extrapolation.  The mode potential grows with k, so eigenvalues are
-monotone in k and the k = 0 mode attains the minimum; a small band of
-higher modes is still solved explicitly and checked to dominate.
+targeted LAPACK solve.  The mode potential grows pointwise with k,
+so by min-max the eigenvalues are nondecreasing in k and the
+rotationally symmetric k = 0 mode is the collar's first Dirichlet
+eigenvalue; only that mode is solved, on two grids (n and 2n) that
+feed a Richardson extrapolation.  Its potential does not involve l,
+so the collar eigenvalue depends on the half-width alone.
 
 The substitution u = v / sqrt(cosh) shows the k = 0 potential is
 1/4 + sech^2(rho)/4 >= 1/4, so every collar eigenvalue exceeds 1/4,
@@ -37,10 +39,10 @@ class ExtrapolationWarning(UserWarning):
 
 def radial_mode_lambda1(length: float, half_width: float, k: int, n: int) -> float:
     """Smallest Dirichlet eigenvalue of the mode-k radial problem on one grid."""
-    if half_width <= 0.0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be positive and finite, got {length}")
     if n < 8:
         raise ValueError(f"grid needs n >= 8 intervals, got {n}")
     h = 2.0 * half_width / n
@@ -55,46 +57,25 @@ def radial_mode_lambda1(length: float, half_width: float, k: int, n: int) -> flo
     return float(vals[0])
 
 
-def _extrapolated_mode(
-    length: float, half_width: float, k: int, n: int
-) -> tuple[float, float, float]:
-    coarse = radial_mode_lambda1(length, half_width, k, n)
-    fine = radial_mode_lambda1(length, half_width, k, 2 * n)
-    return (4.0 * fine - coarse) / 3.0, coarse, fine
-
-
 def collar_dirichlet_lambda1(
     length: float, half_width: float, n: int = DEFAULT_N_RHO
 ) -> float:
     """Richardson-extrapolated first Dirichlet eigenvalue of the collar.
 
-    The mode-k potential (2 pi k / (l cosh rho))^2 grows pointwise
-    with k, so by the min-max principle the mode eigenvalues are
-    nondecreasing in k and k = 0 attains the minimum; truncation needs
-    no error budget.  A band up to
-    k_max = ceil(l sqrt(4 lam_0) / (2 pi)) + 2 (never below k = 1) is
-    still solved explicitly and checked to confirm the monotonicity on
-    the discrete level.  A warning reports the winning mode's grid
-    pair when it fails to agree to 1e-6 relative.
+    Only the k = 0 radial mode is solved, and that is exact, not a
+    truncation: the mode-k potential (2 pi k / (l cosh rho))^2 grows
+    pointwise with k, so by the min-max principle the mode eigenvalues
+    are nondecreasing in k and k = 0 attains the minimum.  A warning
+    reports the grid pair (n, 2n) when it fails to agree to 1e-6
+    relative.
     """
-    results = [_extrapolated_mode(length, half_width, 0, n)]
-    lam0 = results[0][0]
-    k_max = max(1, math.ceil(length * math.sqrt(4.0 * max(lam0, 0.0)) / (2.0 * math.pi)) + 2)
-    for k in range(1, k_max + 1):
-        results.append(_extrapolated_mode(length, half_width, k, n))
-    values = [r[0] for r in results]
-    for k in range(k_max):  # pragma: no branch
-        if values[k + 1] < values[k] - 1e-12 * max(1.0, abs(values[k])):
-            raise AssertionError(  # pragma: no cover - modes are monotone in k
-                f"mode monotonicity violated at k={k}: {values[k + 1]} < {values[k]}"
-            )
-    best_k = min(range(k_max + 1), key=lambda k: values[k])
-    best, coarse, fine = results[best_k]
+    coarse = radial_mode_lambda1(length, half_width, 0, n)
+    fine = radial_mode_lambda1(length, half_width, 0, 2 * n)
     if abs(fine - coarse) > RICHARDSON_RTOL * max(1.0, abs(fine)):
         warnings.warn(
-            f"winning mode k={best_k} grid pair (n={n}, {2 * n}) differs beyond "
+            f"grid pair (n={n}, {2 * n}) differs beyond "
             f"{RICHARDSON_RTOL:g}: {coarse!r} vs {fine!r}",
             ExtrapolationWarning,
             stacklevel=2,
         )
-    return best
+    return (4.0 * fine - coarse) / 3.0

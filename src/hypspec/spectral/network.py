@@ -31,7 +31,7 @@ import numpy as np
 
 from ..collars import gudermannian, max_half_width, modified_half_width
 from ..cuts import Multicut
-from ..surfaces import PantsSurface
+from ..surfaces import PantsSurface, connected_components
 from ..thickthin import ThickThinDecomposition
 
 PANTS_MASS = 2.0 * math.pi
@@ -106,16 +106,6 @@ class NetworkModel:
         }
 
 
-def _roots(parent: list[int]) -> list[int]:
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    return [find(x) for x in range(len(parent))]
-
-
 def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
     """Quotient the thick components into nodes and the thin collars into edges.
 
@@ -131,26 +121,19 @@ def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
         raise NetworkBuildError(
             "no thin separating system; use rayleigh_upper on an explicit cut instead"
         )
-    parent = list(range(n_comp))
+    nodes = connected_components(
+        range(n_comp),
+        [
+            (comp_of[tc.endpoints[0]], comp_of[tc.endpoints[1]])
+            for tc in decomposition.thin_collars
+            if tc.collar.half_width == 0.0
+        ],
+    )
+    node_of_comp = {ci: i for i, node in enumerate(nodes) for ci in node}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for tc in decomposition.thin_collars:
-        if tc.collar.half_width == 0.0:
-            ra, rb = find(comp_of[tc.endpoints[0]]), find(comp_of[tc.endpoints[1]])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = _roots(parent)
-    order = sorted(set(roots))
-    node_of_comp = {r: i for i, r in enumerate(order)}
-
-    members: list[list[str]] = [[] for _ in order]
+    members: list[list[str]] = [[] for _ in nodes]
     for ci, comp in enumerate(decomposition.thick_components):
-        members[node_of_comp[roots[ci]]].extend(comp)
+        members[node_of_comp[ci]].extend(comp)
     node_pants = tuple(tuple(sorted(m)) for m in members)
     masses = tuple(PANTS_MASS * len(p) for p in node_pants)
 
@@ -158,8 +141,8 @@ def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
     for tc in decomposition.thin_collars:
         if tc.collar.half_width == 0.0:
             continue
-        a = node_of_comp[roots[comp_of[tc.endpoints[0]]]]
-        b = node_of_comp[roots[comp_of[tc.endpoints[1]]]]
+        a = node_of_comp[comp_of[tc.endpoints[0]]]
+        b = node_of_comp[comp_of[tc.endpoints[1]]]
         edges.append(
             NetworkEdge(
                 label=tc.label,
@@ -189,19 +172,7 @@ def network_lambda1(model: NetworkModel) -> float:
         raise ValueError("network surrogate needs at least 2 nodes")
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense eigensolve capped at {DENSE_NODE_LIMIT} nodes, got {n}")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in model.edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    if len({find(x) for x in range(n)}) > 1:
+    if len(connected_components(range(n), [(e.a, e.b) for e in model.edges])) > 1:
         raise DisconnectedNetworkError("network surrogate is disconnected")
     inv_sqrt_m = 1.0 / np.sqrt(np.asarray(model.masses))
     sym = model.laplacian() * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
@@ -213,30 +184,15 @@ def _bipartition_sides(
     surface: PantsSurface, cut: Multicut
 ) -> tuple[frozenset[str], frozenset[str]]:
     removed = set(cut.edge_labels)
-    index = {v: i for i, v in enumerate(surface.vertices)}
-    parent = list(range(len(surface.vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in surface.edges:
-        if e.label in removed:
-            continue
-        ra, rb = find(index[e.a]), find(index[e.b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, set[str]] = {}
-    for v in surface.vertices:
-        groups.setdefault(find(index[v]), set()).add(v)
+    groups = connected_components(
+        surface.vertices,
+        [(e.a, e.b) for e in surface.edges if e.label not in removed],
+    )
     if len(groups) != 2:
         raise ValueError(
             f"cut must separate the surface into exactly 2 components, got {len(groups)}"
         )
-    side_a, side_b = (frozenset(g) for _, g in sorted(groups.items()))
-    return side_a, side_b
+    return groups[0], groups[1]
 
 
 def rayleigh_upper_bound(surface: PantsSurface, cut: Multicut) -> float:

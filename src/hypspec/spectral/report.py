@@ -16,8 +16,6 @@ within constant factors.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..cuts import Multicut, min_separating_length, make_multicut
@@ -28,11 +26,9 @@ from ..surfaces import (
     chain_central_join_label,
     total_volume,
 )
-from ..thickthin import DEFAULT_EPSILON, decompose
+from ..thickthin import DEFAULT_EPSILON, ThickThinDecomposition, decompose
 from .collar_ode import DEFAULT_N_RHO, collar_dirichlet_lambda1
 from .network import NetworkBuildError, build_network, network_lambda1, rayleigh_upper_bound
-
-THREADS_ENV_VAR = "HYPSPEC_THREADS"
 
 _CSV_COLUMNS = (
     "genus",
@@ -62,6 +58,35 @@ class CollarMode:
     core_length: float
     half_width: float
     lambda1: float
+
+
+def collar_modes(
+    ttd: ThickThinDecomposition, n_rho: int = DEFAULT_N_RHO
+) -> tuple[CollarMode, ...]:
+    """First Dirichlet eigenvalue of each thin collar, in collar order.
+
+    Zero-width collars have no interior and are skipped.  The collar
+    eigenvalue is a function of the half-width alone (see
+    :mod:`.collar_ode`), so one solve serves every collar sharing a
+    width.
+    """
+    by_width: dict[float, float] = {}
+    modes = []
+    for tc in ttd.thin_collars:
+        w = tc.collar.half_width
+        if w == 0.0:
+            continue
+        if w not in by_width:
+            by_width[w] = collar_dirichlet_lambda1(tc.collar.core_length, w, n=n_rho)
+        modes.append(
+            CollarMode(
+                label=tc.label,
+                core_length=tc.collar.core_length,
+                half_width=w,
+                lambda1=by_width[w],
+            )
+        )
+    return tuple(modes)
 
 
 @dataclass(frozen=True)
@@ -112,8 +137,8 @@ def assemble_report(
     explicit ``rayleigh_cut`` is given.  The network surrogate is
     skipped (with the reason recorded) when the decomposition has no
     two-sided thin part.  Collar eigenvalues are deduplicated across
-    collars sharing (length, width); zero-width collars have no
-    interior and are skipped.
+    collars sharing a width; zero-width collars have no interior and
+    are skipped.
 
     Flags: ``cheeger_le_rayleigh`` orders the two rigorous bounds;
     ``collar_modes_above_quarter`` checks every collar eigenvalue
@@ -136,23 +161,7 @@ def assemble_report(
 
     rayleigh = rayleigh_upper_bound(surface, rayleigh_cut if rayleigh_cut is not None else cut)
 
-    mode_cache: dict[tuple[float, float], float] = {}
-    modes = []
-    for tc in ttd.thin_collars:
-        w = tc.collar.half_width
-        if w == 0.0:
-            continue
-        key = (tc.collar.core_length, w)
-        if key not in mode_cache:
-            mode_cache[key] = collar_dirichlet_lambda1(key[0], key[1], n=n_rho)
-        modes.append(
-            CollarMode(
-                label=tc.label,
-                core_length=key[0],
-                half_width=w,
-                lambda1=mode_cache[key],
-            )
-        )
+    modes = collar_modes(ttd, n_rho)
 
     tol = 1e-9 * max(1.0, rayleigh)
     flags = {
@@ -175,7 +184,7 @@ def assemble_report(
         network_lambda1=network_value,
         network_note=network_note,
         rayleigh_upper=rayleigh,
-        collar_modes=tuple(modes),
+        collar_modes=modes,
         consistency_flags=flags,
     )
 
@@ -199,21 +208,6 @@ class ScalingRow:
     def normalized_gap(self) -> float:
         """network lambda1 * g^2 / L1 — the quantity predicted to be ~constant."""
         return self.network_lambda1 * self.genus**2 / self.l1
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else HYPSPEC_THREADS (0 = auto), else 1."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if threads == 0:
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError(f"thread count must be >= 0, got {threads}")
-    return threads
 
 
 def _scaling_row(genus: int, core_length: float, epsilon: float, force: bool) -> ScalingRow:
@@ -240,25 +234,17 @@ def scaling_study(
     epsilon: float = DEFAULT_EPSILON,
     *,
     force: bool = False,
-    threads: int | None = None,
 ) -> list[ScalingRow]:
     """Chain-family rows for each genus, in the given order.
 
     The Rayleigh bound uses the balanced central cut (tightest of the
-    single-join cuts for long chains); rows are returned in input
-    order regardless of worker count, and every numeric is a pure
-    function of (genus, core_length, epsilon), so output is
-    reproducible bit for bit.
+    single-join cuts for long chains); every numeric is a pure function
+    of (genus, core_length, epsilon), so output is reproducible bit for
+    bit.
     """
     if not genus_list:
         raise ValueError("genus_list must be non-empty")
-    workers = resolve_threads(threads)
-    if workers == 1 or len(genus_list) == 1:
-        return [_scaling_row(g, core_length, epsilon, force) for g in genus_list]
-    with ThreadPoolExecutor(max_workers=min(workers, len(genus_list))) as pool:
-        return list(
-            pool.map(lambda g: _scaling_row(g, core_length, epsilon, force), genus_list)
-        )
+    return [_scaling_row(g, core_length, epsilon, force) for g in genus_list]
 
 
 def scaling_rows_to_csv(rows: list[ScalingRow]) -> str:

@@ -118,6 +118,14 @@ def test_bounds_json_flags(capsys):
     assert flags["network_in_sanity_band"] is True
 
 
+def test_spectrum_and_bounds_print_the_same_collar_modes(capsys):
+    _, spectrum, _ = run(capsys, "spectrum", *CHAIN10)
+    _, bounds, _ = run(capsys, "bounds", *CHAIN10)
+    modes = json.loads(spectrum)["collar_ode_lambda1"]
+    assert len(modes) == 27
+    assert modes == json.loads(bounds)["collar_ode_lambda1"]
+
+
 def test_bounds_accepts_explicit_cut(capsys):
     code, out, _ = run(capsys, "bounds", *CHAIN10, "--cut", "j004")
     assert code == EXIT_OK

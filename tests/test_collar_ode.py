@@ -46,10 +46,11 @@ def test_frozen_values_at_maximal_width():
 
 
 def test_kzero_mode_is_length_independent():
-    # with k = 0 the length drops out of the radial problem entirely
+    # with k = 0 the length drops out of the radial problem entirely,
+    # bit for bit: report caches collar eigenvalues by width alone
     vals = [collar_dirichlet_lambda1(ell, 1.0) for ell in (0.01, 0.05, 0.1, 0.5, 1.0)]
     for v in vals[1:]:
-        assert v == pytest.approx(vals[0], rel=1e-12)
+        assert v == vals[0]
 
 
 def test_everything_exceeds_one_quarter():
@@ -109,6 +110,17 @@ def test_radial_modes_increase_with_k():
         assert b > a
     # the k = 1 potential alone dwarfs the k = 0 eigenvalue at small l
     assert vals[1] > vals[0] + (2 * math.pi / (ell * math.cosh(w))) ** 2 * 0.5
+    # collar_dirichlet_lambda1 solves k = 0 only; the discrete modes
+    # must stay ordered on the grids it uses, at the report collar and
+    # across the verify grid
+    cases = [(0.09, modified_half_width(0.09))]
+    for ell in (0.05, 0.1, 0.5):
+        cases += [(ell, 1.0), (ell, 2.0), (ell, max_half_width(ell))]
+    for ell, w in cases:
+        for n in (1024, 2048):
+            vals = [radial_mode_lambda1(ell, w, k, n) for k in range(4)]
+            for a, b in zip(vals, vals[1:]):
+                assert a <= b, (ell, w, n, vals)
 
 
 def test_richardson_is_second_order():
@@ -129,3 +141,10 @@ def test_input_validation():
         radial_mode_lambda1(0.1, 1.0, 0, 4)
     with pytest.raises(ValueError):
         collar_dirichlet_lambda1(0.1, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            radial_mode_lambda1(0.1, bad, 0, 64)
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            radial_mode_lambda1(bad, 1.0, 0, 64)
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            collar_dirichlet_lambda1(bad, 1.0)

@@ -1,7 +1,5 @@
 import json
 import math
-import os
-from unittest import mock
 
 import mpmath
 import pytest
@@ -9,11 +7,10 @@ import pytest
 from hypspec.spectral import (
     assemble_report,
     cheeger_lower_bound,
-    resolve_threads,
     scaling_rows_to_csv,
     scaling_study,
 )
-from hypspec.spectral.report import THREADS_ENV_VAR, _scaling_row
+from hypspec.spectral.report import _scaling_row
 from hypspec.surfaces import ChainFamilyParams, build_chain_family
 
 mpmath.mp.dps = 50
@@ -114,12 +111,6 @@ def test_scaling_study_frozen_first_rows():
     assert rows[1].normalized_gap == pytest.approx(0.273913515497, rel=1e-9)
 
 
-def test_scaling_study_threaded_matches_sequential():
-    seq = scaling_study([4, 6, 8], 0.09, threads=1)
-    par = scaling_study([4, 6, 8], 0.09, threads=3)
-    assert scaling_rows_to_csv(par) == scaling_rows_to_csv(seq)
-
-
 def test_scaling_study_rejects_empty_list():
     with pytest.raises(ValueError):
         scaling_study([], 0.09)
@@ -139,20 +130,3 @@ def test_csv_shape_and_digits():
     assert fields[1] == "0.09"
     # 12 significant digits
     assert fields[2] == f"{12 * math.pi:.12g}"
-
-
-def test_resolve_threads_env_handling():
-    with mock.patch.dict(os.environ, {}, clear=False):
-        os.environ.pop(THREADS_ENV_VAR, None)
-        assert resolve_threads() == 1
-    with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "4"}):
-        assert resolve_threads() == 4
-    with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "0"}):
-        assert resolve_threads() == (os.cpu_count() or 1)
-    with mock.patch.dict(os.environ, {THREADS_ENV_VAR: "two"}):
-        with pytest.raises(ValueError):
-            resolve_threads()
-    assert resolve_threads(3) == 3
-    assert resolve_threads(0) == (os.cpu_count() or 1)
-    with pytest.raises(ValueError):
-        resolve_threads(-2)
