@@ -422,7 +422,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cuts", help="minimal separating curve system (JSON)")
     _add_surface_args(p)
     p.add_argument("--i", type=int, required=True, help="target component surplus")
-    p.add_argument("--method", choices=["auto", "exhaustive", "bnb"], default="auto")
+    p.add_argument(
+        "--method",
+        choices=["auto", "exhaustive", "bnb"],
+        default="auto",
+        help="auto: exact minimum cut for i=1, exhaustive (<= 20 curves) or "
+        "branch-and-bound for i>=2",
+    )
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_cuts)
 

@@ -4,10 +4,18 @@ L_i of a surface is the least total length of disjoint simple closed
 geodesics cutting it into at least i+1 pieces.  Restricted to pants
 curves this is a minimum-weight edge-subset problem on the dual
 multigraph: find the cheapest edge set whose removal leaves >= i+1
-connected components.  Small instances are solved by exhaustive
-bitmask search, larger ones by a best-first branch-and-bound that
-returns the identical optimum.  A constructive pants-block cut gives
-the classical existence bound 78 i (g-1).
+connected components.
+
+``min_separating_length(method="auto")`` solves i = 1 exactly as a
+global minimum edge cut (bridges, then Stoer-Wagner on each
+2-edge-connected block) in polynomial time.  For i >= 2 it uses an
+exhaustive bitmask scan up to 20 edges and a best-first
+branch-and-bound beyond, under a node budget.  Ties are exact ties of
+the summed lengths and break toward the lexicographically smallest
+label tuple.  The two subset searches compare correctly rounded
+(``math.fsum``) totals, so they return the same optimum unless two
+candidate totals differ by less than one ulp.  A constructive
+pants-block cut gives the classical existence bound 78 i (g-1).
 """
 from __future__ import annotations
 
@@ -18,6 +26,9 @@ from dataclasses import dataclass
 from .surfaces import PantsSurface
 
 EXHAUSTIVE_EDGE_LIMIT = 20
+# Heap pops allowed to one branch-and-bound search: 12x the 20 855 pops of
+# the hardest search in the test suite (chain genus 10, i = 5).
+BNB_NODE_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,180 @@ def _min_cut_exhaustive(surface: PantsSurface, i: int) -> Multicut:
 
 
 # ===================================================================
+# global minimum cut (i = 1)
+# ===================================================================
+
+def _cut_keys(edges) -> list[int]:
+    """Exact integer keys whose sums order edge sets as the contract does.
+
+    ``edges`` is sorted by label, so edge r has rank r of m.  Each length
+    is a dyadic rational p/q; over the common denominator D it is the
+    integer n_r = p D / q >= 1.  The key of edge r is
+    k_r = n_r 2^m - 2^(m-1-r) > 0, so a set S sums to
+    K(S) = 2^m N(S) - B(S) with N(S) = D * (exact total length) and
+    B(S) = sum of 2^(m-1-r) over S, where 0 < B(S) < 2^m for S nonempty.
+
+    If N(S) < N(T) then K(T) >= 2^m N(S) + 2^m - B(T) > 2^m N(S) >= K(S).
+    If N(S) = N(T) and S != T, neither contains the other (lengths are
+    positive), so at the first position where the sorted rank tuples
+    differ one set has the smaller rank s, which the other lacks, and
+    both agree on every rank below s.  Its bit 2^(m-1-s) outweighs all
+    later ranks together, so that set has the larger B, the
+    smaller K and the lexicographically smaller label tuple.  Hence
+    K(S) < K(T) exactly when (total length, label tuple) of S is smaller,
+    and distinct edge sets have distinct key sums.
+    """
+    m = len(edges)
+    ratios = [e.length.as_integer_ratio() for e in edges]
+    denom = max(q for _, q in ratios)
+    return [
+        (p * (denom // q) << m) - (1 << (m - 1 - r))
+        for r, (p, q) in enumerate(ratios)
+    ]
+
+
+def _bridges_and_blocks(n: int, ends: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Bridges of a connected multigraph and the block of every vertex.
+
+    Iterative Tarjan.  The DFS skips only the edge it arrived by, not
+    every edge to the parent, so of two parallel edges neither is a
+    bridge.  A vertex roots a 2-edge-connected block when it is the DFS
+    root or its tree edge is a bridge; the block is that vertex and
+    every vertex discovered after it that no deeper block has claimed.
+    Blocks are named by their root vertex.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(ends):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    disc = [-1] * n
+    low = [0] * n
+    block = [0] * n
+    disc[0] = 0
+    clock = 1
+    bridges = []
+    unclaimed = [0]
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, via, it = stack[-1]
+        for w, k in it:
+            if k == via:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = clock
+                clock += 1
+                unclaimed.append(w)
+                stack.append((w, k, iter(adj[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] <= disc[u]:
+                    continue
+                bridges.append(via)
+            while True:
+                x = unclaimed.pop()
+                block[x] = v
+                if x == v:
+                    break
+    return bridges, block
+
+
+def _stoer_wagner(block: list[int], ends, keys) -> tuple[int, set[int]]:
+    """Minimum cut value of a connected loop-free block and one side of it.
+
+    Each phase grows a maximum-adjacency order with a lazy heap; the last
+    vertex t added gives the cut of the phase, its key weight to the rest,
+    and is then merged into the one before it (Stoer & Wagner, JACM 1997).
+    """
+    adj: dict[int, dict[int, int]] = {}
+    for k in block:
+        a, b = ends[k]
+        adj.setdefault(a, {})
+        adj.setdefault(b, {})
+        adj[a][b] = adj[a].get(b, 0) + keys[k]
+        adj[b][a] = adj[b].get(a, 0) + keys[k]
+    members = {v: [v] for v in adj}
+    best_value: int | None = None
+    best_side: set[int] = set()
+    while len(adj) > 1:
+        weight = dict.fromkeys(adj, 0)
+        start = next(iter(adj))
+        heap = [(0, start)]
+        added: set[int] = set()
+        s = t = start
+        while len(added) < len(adj):
+            neg, v = heapq.heappop(heap)
+            if v in added or -neg != weight[v]:
+                continue
+            added.add(v)
+            s, t = t, v
+            for x, w in adj[v].items():
+                if x not in added:
+                    weight[x] += w
+                    heapq.heappush(heap, (-weight[x], x))
+        if best_value is None or weight[t] < best_value:
+            best_value = weight[t]
+            best_side = set(members[t])
+        for x, w in adj.pop(t).items():
+            del adj[x][t]
+            if x != s:
+                adj[s][x] = adj[s].get(x, 0) + w
+                adj[x][s] = adj[x].get(s, 0) + w
+        members[s] += members.pop(t)
+    return best_value, best_side
+
+
+def _min_cut_global(surface: PantsSurface) -> Multicut:
+    """Exact minimum separating set for i = 1 in polynomial time.
+
+    With the positive keys of :func:`_cut_keys` the optimum is an
+    inclusion-minimal disconnecting set, so it is either a single bridge
+    or lies inside one 2-edge-connected block: the blocks hang off the
+    bridges as a tree, so the part of a cut inside any block it splits
+    already disconnects the surface.  Conversely every cut of a block
+    disconnects the surface.  So the answer is the lowest-key bridge or
+    the lowest Stoer-Wagner cut over the blocks, self-loops never being
+    cut.  Among single edges the key order is the (length, label) order,
+    so bridges need no keys.
+
+    Every cut of a 2-edge-connected block has at least two edges, so a
+    block is skipped when the floating-point sum of its two shortest
+    curves exceeds the incumbent's correctly rounded length: rounding is
+    monotone, so the exact sums compare the same way.  The keys are only
+    built when some block is not skipped.
+    """
+    edges = sorted(surface.edges, key=lambda e: e.label)
+    lengths = [e.length for e in edges]
+    index = {v: k for k, v in enumerate(surface.vertices)}
+    ends = [(index[e.a], index[e.b]) for e in edges]
+    bridges, block_of = _bridges_and_blocks(len(index), ends)
+
+    blocks: dict[int, list[int]] = {}
+    for k, (a, b) in enumerate(ends):
+        if a != b and block_of[a] == block_of[b]:
+            blocks.setdefault(block_of[a], []).append(k)
+
+    best_cut = [min(bridges, key=lambda k: (lengths[k], k))] if bridges else []
+    best_length = lengths[best_cut[0]] if bridges else math.inf
+    keys: list[int] | None = None
+    for block in blocks.values():
+        shortest, second = sorted([lengths[k] for k in block])[:2]
+        if shortest + second > best_length:
+            continue
+        if keys is None:
+            keys = _cut_keys(edges)
+        value, side = _stoer_wagner(block, ends, keys)
+        if not best_cut or value < sum(keys[k] for k in best_cut):
+            best_cut = [k for k in block if (ends[k][0] in side) != (ends[k][1] in side)]
+            best_length = math.fsum(lengths[k] for k in best_cut)
+    return make_multicut(surface, [edges[k].label for k in best_cut])
+
+
+# ===================================================================
 # best-first branch and bound
 # ===================================================================
 
@@ -116,7 +301,8 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
     subset is enumerated once; the heap pops by (total length, label
     tuple), hence the first feasible pop is the optimum under the same
     tie-break as the exhaustive search.  A greedy incumbent caps queue
-    growth: children strictly longer than it are pruned.
+    growth: children strictly longer than it are pruned.  More than
+    ``BNB_NODE_BUDGET`` heap pops raise a ValueError instead of running on.
     """
     edges = sorted(surface.edges, key=lambda e: e.label)
     m = len(edges)
@@ -137,7 +323,14 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
 
     heap: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = []
     heapq.heappush(heap, (0.0, (), ()))
+    pops = 0
     while heap:
+        pops += 1
+        if pops > BNB_NODE_BUDGET:
+            raise ValueError(
+                f"branch-and-bound exceeded its budget of {BNB_NODE_BUDGET} nodes "
+                f"(genus {surface.genus}, i={i}, {m} edges)"
+            )
         total, labels, idxs = heapq.heappop(heap)
         if labels and component_count_after_removal(surface, labels) >= target:
             return make_multicut(surface, labels)
@@ -157,13 +350,18 @@ def min_separating_length(
 ) -> Multicut:
     """Cheapest pants-curve set splitting the surface into >= i+1 pieces.
 
-    Ties in total length break toward the lexicographically smallest
-    label tuple, so the result is independent of evaluation order.
-    ``method`` is "exhaustive", "bnb", or "auto" (exhaustive up to
-    20 edges, branch-and-bound beyond).
+    Ties are exact ties of the summed lengths (for "exhaustive" and
+    "bnb", of their correctly rounded totals) and break toward the
+    lexicographically smallest label tuple, so the result is independent
+    of evaluation order.  ``method`` is "exhaustive", "bnb", or "auto":
+    for i = 1 the exact global minimum cut (bridges, then Stoer-Wagner),
+    for i >= 2 exhaustive up to 20 edges and branch-and-bound beyond.
+    Branch-and-bound raises a ValueError past ``BNB_NODE_BUDGET`` nodes.
     """
     _validate_i(surface, i)
     if method == "auto":
+        if i == 1:
+            return _min_cut_global(surface)
         method = "exhaustive" if len(surface.edges) <= EXHAUSTIVE_EDGE_LIMIT else "bnb"
     if method == "exhaustive":
         if len(surface.edges) > EXHAUSTIVE_EDGE_LIMIT + 6:

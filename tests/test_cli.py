@@ -171,6 +171,17 @@ def test_exit_code_bad_genus_list(capsys):
     assert code == EXIT_INVALID_INPUT
 
 
+def test_exit_code_cut_search_budget(capsys, monkeypatch):
+    import hypspec.cuts
+
+    monkeypatch.setattr(hypspec.cuts, "BNB_NODE_BUDGET", 5)
+    code, out, err = run(capsys, "cuts", *CHAIN10, "--i", "3", "--method", "bnb")
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget of 5 nodes" in err
+
+
 def test_exit_code_inadmissible_epsilon(capsys):
     code, _, err = run(capsys, "thickthin", *CHAIN10, "--epsilon", "0.2")
     assert code == EXIT_INADMISSIBLE_EPSILON

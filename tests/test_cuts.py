@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypspec.cuts as cuts
 from hypspec.cuts import (
     EXHAUSTIVE_EDGE_LIMIT,
     Multicut,
@@ -13,6 +15,7 @@ from hypspec.cuts import (
     min_separating_length,
     pants_block_cut,
 )
+from hypspec.spectral.report import assemble_report
 from hypspec.surfaces import (
     ChainFamilyParams,
     PantsSurface,
@@ -20,6 +23,10 @@ from hypspec.surfaces import (
     build_from_description,
     surface_to_dict,
 )
+
+from random_pants import continuous_length, random_pants_surface, tie_length
+
+LENGTH_DRAWS = {"continuous": continuous_length, "ties": tie_length}
 
 
 def chain(genus, length=0.09, **kw):
@@ -81,6 +88,27 @@ def test_large_genus_uses_branch_and_bound():
     s = chain(12)  # 33 edges: exhaustive would be 2^33 subsets
     cut = min_separating_length(s, 1)
     assert cut.edge_labels == ("j000",)
+    assert min_separating_length(s, 1, method="bnb").edge_labels == ("j000",)
+
+
+def test_auto_at_i1_never_runs_the_subset_searches(monkeypatch):
+    def refuse(surface, i):
+        raise AssertionError("auto at i = 1 must not run a subset search")
+
+    monkeypatch.setattr(cuts, "_min_cut_exhaustive", refuse)
+    monkeypatch.setattr(cuts, "_min_cut_branch_and_bound", refuse)
+    report = assemble_report(chain(7))
+    assert report.cut_labels == ("j000",)
+    assert report.l1_restricted == pytest.approx(0.09, rel=1e-15)
+
+
+def test_branch_and_bound_budget_raises(monkeypatch):
+    monkeypatch.setattr(cuts, "BNB_NODE_BUDGET", 5)
+    with pytest.raises(ValueError) as info:
+        min_separating_length(chain(10), 3, method="bnb")
+    message = str(info.value)
+    for part in ("budget of 5 nodes", "genus 10", "i=3", "27 edges"):
+        assert part in message
 
 
 def test_increasing_i_costs_more():
@@ -177,3 +205,41 @@ def test_property_methods_agree(genus, seed, i):
     bb = min_separating_length(s, i, method="bnb")
     assert bb.total_length == pytest.approx(ex.total_length, rel=1e-12)
     assert bb.component_count >= i + 1
+
+
+def _oracle_surfaces(genus, kind):
+    """Seeded random surfaces small enough for the exhaustive oracle."""
+    seeds = range(2) if genus == 7 else range(4)  # 2^18 subsets per genus-7 scan
+    return [
+        random_pants_surface(random.Random(100 * genus + k), genus, LENGTH_DRAWS[kind])
+        for k in seeds
+    ]
+
+
+def _has_bridge(s):
+    return any(component_count_after_removal(s, (e.label,)) > 1 for e in s.edges)
+
+
+def test_oracle_fixtures_cover_bridges_and_bridgeless_blocks():
+    surfaces = [s for g in range(2, 8) for kind in LENGTH_DRAWS for s in _oracle_surfaces(g, kind)]
+    assert any(_has_bridge(s) for s in surfaces)
+    assert any(not _has_bridge(s) for s in surfaces)
+    assert any(len({e.a, e.b}) == 1 for s in surfaces for e in s.edges)  # self-loops
+    assert any(
+        len({(e.a, e.b) for e in s.edges}) < len(s.edges) for s in surfaces
+    )  # parallel curves
+
+
+@pytest.mark.parametrize("kind", sorted(LENGTH_DRAWS))
+@pytest.mark.parametrize("genus", range(2, 8))
+def test_global_min_cut_equals_exhaustive_oracle(genus, kind):
+    for s in _oracle_surfaces(genus, kind):
+        assert min_separating_length(s, 1) == min_separating_length(s, 1, method="exhaustive")
+
+
+@pytest.mark.parametrize("kind", sorted(LENGTH_DRAWS))
+def test_global_min_cut_equals_branch_and_bound(kind):
+    for genus in range(8, 13):
+        for k in range(2):
+            s = random_pants_surface(random.Random(100 * genus + k), genus, LENGTH_DRAWS[kind])
+            assert min_separating_length(s, 1) == min_separating_length(s, 1, method="bnb")
