@@ -19,6 +19,7 @@ from .collars import (
     modified_half_width,
     same_rho_geodesic_length,
     shell_detour_length,
+    shell_detour_lengths,
     shell_volume,
     uhp_distance,
 )

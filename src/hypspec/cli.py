@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .collars import (
     collar_volume,
     max_half_width,
     modified_half_width,
-    shell_detour_length,
+    shell_detour_lengths,
     shell_volume,
 )
 from .cuts import bers_upper_bound, make_multicut, min_separating_length
@@ -260,21 +261,32 @@ def _check_epsilon_constants() -> tuple[int, int]:
 def sample_shell_detours(
     rng: np.random.Generator, count: int
 ) -> list[tuple[float, float]]:
-    """(direct, detour) pairs for random same-side shell points at direct <= 0.05."""
-    lengths = (0.02, 0.05, 0.09)
+    """(direct, detour) pairs for random same-side shell points at direct <= 0.05.
+
+    Attempts are drawn in rounds of at most the number of pairs still
+    missing, each round tested at once with :func:`shell_detour_lengths`.
+    A round therefore never draws past the attempt at which one-by-one
+    sampling would stop, so the pairs and the generator's final state are
+    those of drawing and testing one attempt at a time.
+    """
+    shells = tuple((ell, modified_half_width(ell)) for ell in (0.02, 0.05, 0.09))
+    max_attempts = 100 * count
     out: list[tuple[float, float]] = []
     attempts = 0
-    while len(out) < count and attempts < 100 * count:
-        attempts += 1
-        ell = lengths[attempts % len(lengths)]
-        w = modified_half_width(ell)
-        rho1 = w + rng.uniform(0.0, 1.0)
-        t1 = rng.uniform(0.0, 1.0)
-        rho2 = min(w + 1.0, max(w, rho1 + rng.normal(0.0, 0.02)))
-        t2 = (t1 + rng.normal(0.0, 0.02 / (ell * math.cosh(rho1)))) % 1.0
-        direct, detour = shell_detour_length(rho1, rho2, t1, t2, ell)
-        if 0.0 < direct <= 0.05:
-            out.append((direct, detour))
+    while len(out) < count and attempts < max_attempts:
+        n = min(count - len(out), max_attempts - attempts)
+        draws = array("d")
+        for _ in range(n):
+            attempts += 1
+            ell, w = shells[attempts % len(shells)]
+            rho1 = w + rng.uniform(0.0, 1.0)
+            t1 = rng.uniform(0.0, 1.0)
+            rho2 = min(w + 1.0, max(w, rho1 + rng.normal(0.0, 0.02)))
+            t2 = (t1 + rng.normal(0.0, 0.02 / (ell * math.cosh(rho1)))) % 1.0
+            draws.extend((rho1, rho2, t1, t2, ell))
+        direct, detour = shell_detour_lengths(*np.frombuffer(draws).reshape(n, 5).T)
+        keep = (direct > 0.0) & (direct <= 0.05)
+        out.extend(zip(direct[keep].tolist(), detour[keep].tolist()))
     if len(out) < count:
         raise RuntimeError("shell detour sampler failed to reach the requested count")
     return out

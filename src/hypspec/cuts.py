@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from .surfaces import PantsSurface
 
 EXHAUSTIVE_EDGE_LIMIT = 20
-# Heap pops allowed to one branch-and-bound search: 12x the 20 855 pops of
-# the hardest search in the test suite (chain genus 10, i = 5).
-BNB_NODE_BUDGET = 250_000
+# Heap pushes allowed to one branch-and-bound search, which also caps the
+# heap's length: 12x the 101 584 pushes of the hardest search in the test
+# suite (chain genus 10, i = 5).
+BNB_NODE_BUDGET = 1_200_000
 
 
 @dataclass(frozen=True)
@@ -301,8 +302,10 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
     subset is enumerated once; the heap pops by (total length, label
     tuple), hence the first feasible pop is the optimum under the same
     tie-break as the exhaustive search.  A greedy incumbent caps queue
-    growth: children strictly longer than it are pruned.  More than
-    ``BNB_NODE_BUDGET`` heap pops raise a ValueError instead of running on.
+    growth: children strictly longer than it are pruned.  A search that
+    would push more than ``BNB_NODE_BUDGET`` nodes, counting the root,
+    raises a ValueError instead of running on, so the heap never holds
+    more than that many.
     """
     edges = sorted(surface.edges, key=lambda e: e.label)
     m = len(edges)
@@ -321,16 +324,9 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
             incumbent_len = _canonical_length(surface, labels)
             break
 
-    heap: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = []
-    heapq.heappush(heap, (0.0, (), ()))
-    pops = 0
+    heap: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
+    pushes = 1
     while heap:
-        pops += 1
-        if pops > BNB_NODE_BUDGET:
-            raise ValueError(
-                f"branch-and-bound exceeded its budget of {BNB_NODE_BUDGET} nodes "
-                f"(genus {surface.genus}, i={i}, {m} edges)"
-            )
         total, labels, idxs = heapq.heappop(heap)
         if labels and component_count_after_removal(surface, labels) >= target:
             return make_multicut(surface, labels)
@@ -340,6 +336,12 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
             child_total = math.fsum(lengths[k] for k in child_idxs)
             if child_total > incumbent_len:
                 continue
+            if pushes == BNB_NODE_BUDGET:
+                raise ValueError(
+                    f"branch-and-bound exceeded its budget of {BNB_NODE_BUDGET} nodes "
+                    f"(genus {surface.genus}, i={i}, {m} edges)"
+                )
+            pushes += 1
             child_labels = tuple(sorted(labels + (labels_arr[j],)))
             heapq.heappush(heap, (child_total, child_labels, child_idxs))
     raise ValueError(f"no edge subset separates the surface into {target} components")

@@ -27,7 +27,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 DEFAULT_N_RHO = 1024
 RICHARDSON_RTOL = 1e-6
@@ -39,6 +38,9 @@ class ExtrapolationWarning(UserWarning):
 
 def radial_mode_lambda1(length: float, half_width: float, k: int, n: int) -> float:
     """Smallest Dirichlet eigenvalue of the mode-k radial problem on one grid."""
+    # imported here so that importing the package does not load scipy.linalg
+    from scipy.linalg import eigh_tridiagonal
+
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ValueError(f"half_width must be positive and finite, got {half_width}")
     if not (math.isfinite(length) and length > 0.0):

@@ -1,8 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
+import hypspec.collars
 from hypspec.cli import (
     EXIT_INADMISSIBLE_EPSILON,
     EXIT_INVALID_INPUT,
@@ -210,3 +212,18 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "hypspec" in capsys.readouterr().out
+
+
+def test_verify_never_calls_the_scalar_detour_functions(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify made a scalar collar-distance call")
+
+    for name in ("collar_distance", "shell_detour_length"):
+        scalar = getattr(hypspec.collars, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "hypspec" and getattr(module, name, None) is scalar:
+                monkeypatch.setattr(module, name, refuse)
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == EXIT_OK
+    assert "shell-detour: 10000/10000" in out
+    assert out.endswith("verify: 8/8 checks passed (seed=42)\n")

@@ -7,9 +7,14 @@ n = 6000; they agree with the tridiagonal path to better than 1e-9.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypspec
 from hypspec.collars import max_half_width, modified_half_width
 from hypspec.spectral import (
     ExtrapolationWarning,
@@ -148,3 +153,25 @@ def test_input_validation():
             radial_mode_lambda1(bad, 1.0, 0, 64)
         with pytest.raises(ValueError, match="length must be positive and finite"):
             collar_dirichlet_lambda1(bad, 1.0)
+
+
+def test_importing_the_package_does_not_load_scipy_linalg():
+    script = (
+        "import sys\n"
+        "import hypspec, hypspec.cli\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "from hypspec.spectral import collar_dirichlet_lambda1\n"
+        "print(repr(collar_dirichlet_lambda1(0.1, 2.0)))\n"
+    )
+    package_root = str(Path(hypspec.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded_on_import, value = done.stdout.split()
+    assert loaded_on_import == "False"
+    assert float(value) == collar_dirichlet_lambda1(0.1, 2.0)

@@ -4,12 +4,15 @@ Reference values are recomputed inline with mpmath at 50 digits, so the
 tests stay honest if the float implementations drift.
 """
 
+import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hypspec.cli import sample_shell_detours
 from hypspec.collars import (
     Collar,
     FermiPoint,
@@ -23,6 +26,7 @@ from hypspec.collars import (
     polar_to_fermi,
     same_rho_geodesic_length,
     shell_detour_length,
+    shell_detour_lengths,
     shell_volume,
     uhp_distance,
 )
@@ -222,3 +226,123 @@ def test_detour_never_beats_direct(ell, drho, dt):
         # pair can make "direct" exceed the exact detour; budget for it
         slack = 1e-8 * direct + 1e-15 / direct
         assert detour >= direct - slack
+
+
+# -------------------------------------------------------------------
+# the array kernel against the scalar code it replaced
+# -------------------------------------------------------------------
+
+def reference_collar_distance(p, q, length):
+    """Scalar complex-plane collar distance, over three deck translates."""
+
+    def to_uhp(rho, t):
+        theta = 2.0 * math.atan(math.exp(-rho))
+        return math.exp(length * t) * cmath.exp(1j * theta)
+
+    z1 = to_uhp(p.rho, 0.0)
+    base = q.t - p.t
+    best = math.inf
+    for k in (math.floor(base), math.ceil(base), round(base)):
+        z2 = to_uhp(q.rho, base - k)
+        best = min(best, uhp_distance(z1, z2))
+    return best
+
+
+def reference_shell_detour_length(rho1, rho2, t1, t2, length):
+    """Scalar (direct, detour) pair on top of :func:`reference_collar_distance`."""
+    if rho1 < 0.0 or rho2 < 0.0:
+        raise ValueError("shell points must lie on one side of the core (rho >= 0)")
+    direct = reference_collar_distance(
+        FermiPoint(rho1, t1), FermiPoint(rho2, t2), length
+    )
+    dt = abs(t1 - t2) % 1.0
+    dt = min(dt, 1.0 - dt)
+    return direct, dt * length * math.cosh(rho1) + abs(rho2 - rho1)
+
+
+def reference_sample_shell_detours(rng, count):
+    """One attempt at a time: draw, test with the scalar reference, keep."""
+    lengths = (0.02, 0.05, 0.09)
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 100 * count:
+        attempts += 1
+        ell = lengths[attempts % len(lengths)]
+        w = modified_half_width(ell)
+        rho1 = w + rng.uniform(0.0, 1.0)
+        t1 = rng.uniform(0.0, 1.0)
+        rho2 = min(w + 1.0, max(w, rho1 + rng.normal(0.0, 0.02)))
+        t2 = (t1 + rng.normal(0.0, 0.02 / (ell * math.cosh(rho1)))) % 1.0
+        direct, detour = reference_shell_detour_length(rho1, rho2, t1, t2, ell)
+        if 0.0 < direct <= 0.05:
+            out.append((direct, detour))
+    if len(out) < count:
+        raise RuntimeError("shell detour sampler failed to reach the requested count")
+    return out
+
+
+shell_pair = st.tuples(
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@given(
+    ell=st.floats(min_value=1e-3, max_value=1.5),
+    pairs=st.lists(shell_pair, min_size=1, max_size=20),
+    flip=st.booleans(),
+)
+def test_array_kernel_matches_scalar_reference(ell, pairs, flip):
+    rho1, t1, rho2, t2 = np.array(pairs).T
+    direct, detour = shell_detour_lengths(rho1, rho2, t1, t2, ell)
+    assert direct.shape == detour.shape == (len(pairs),)
+    for j, (r1, s1, r2, s2) in enumerate(pairs):
+        want_direct, want_detour = reference_shell_detour_length(r1, r2, s1, s2, ell)
+        assert direct[j] == pytest.approx(want_direct, rel=1e-9, abs=1e-12)
+        assert detour[j] == pytest.approx(want_detour, rel=1e-12, abs=1e-15)
+        # the scalar wrapper, with the second point on either side of the core
+        p, q = FermiPoint(r1, s1), FermiPoint(-r2 if flip else r2, s2)
+        assert collar_distance(p, q, ell) == pytest.approx(
+            reference_collar_distance(p, q, ell), rel=1e-9, abs=1e-12
+        )
+
+
+def test_shell_detour_lengths_broadcasts_scalars_with_arrays():
+    ell = 0.05
+    w = max_half_width(ell)
+    rho2 = w - 0.3 + np.array([0.0, 0.004, 0.01, 0.02])
+    t2 = np.array([0.001, 0.0, 0.999, 0.5])
+    lengths = np.array([0.02, 0.05, 0.09, 0.05])
+    for args in (
+        (w - 0.3, rho2, 0.0, t2, ell),
+        (w - 0.3, rho2, 0.0, t2, lengths),
+        (w - 0.3, w - 0.29, 0.0, 0.001, lengths),
+    ):
+        direct, detour = shell_detour_lengths(*args)
+        wide = np.broadcast_arrays(*args)
+        assert direct.shape == detour.shape == wide[0].shape == (4,)
+        for j in range(4):
+            want = shell_detour_length(*(float(a[j]) for a in wide))
+            assert (direct[j], detour[j]) == pytest.approx(want, rel=1e-12)
+
+
+def test_shell_detour_lengths_rejects_one_negative_rho():
+    rho = np.array([0.5, 0.7, -1e-9, 0.9])
+    for rho1, rho2 in ((rho, 0.6), (0.6, rho)):
+        with pytest.raises(ValueError, match="one side of the core"):
+            shell_detour_lengths(rho1, rho2, 0.0, 0.01, 0.05)
+
+
+@pytest.mark.parametrize("seed", [*range(1, 11), 42])
+def test_sampler_matches_one_attempt_at_a_time(seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pairs = sample_shell_detours(rng, 10_000)
+    expected = reference_sample_shell_detours(reference_rng, 10_000)
+    assert len(pairs) == len(expected) == 10_000
+    direct, detour = np.array(pairs).T
+    want_direct, want_detour = np.array(expected).T
+    assert direct == pytest.approx(want_direct, rel=1e-9)
+    assert detour == pytest.approx(want_detour, rel=1e-12)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

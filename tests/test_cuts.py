@@ -1,6 +1,8 @@
+import heapq
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,11 +106,22 @@ def test_auto_at_i1_never_runs_the_subset_searches(monkeypatch):
 
 def test_branch_and_bound_budget_raises(monkeypatch):
     monkeypatch.setattr(cuts, "BNB_NODE_BUDGET", 5)
+    heap_lengths = []
+
+    def recording_push(heap, item):
+        heapq.heappush(heap, item)
+        heap_lengths.append(len(heap))
+
+    monkeypatch.setattr(
+        cuts, "heapq", SimpleNamespace(heappush=recording_push, heappop=heapq.heappop)
+    )
     with pytest.raises(ValueError) as info:
         min_separating_length(chain(10), 3, method="bnb")
     message = str(info.value)
     for part in ("budget of 5 nodes", "genus 10", "i=3", "27 edges"):
         assert part in message
+    # the budget bounds queued nodes, not pops: the heap never outgrows it
+    assert heap_lengths and max(heap_lengths) <= 5
 
 
 def test_increasing_i_costs_more():
