@@ -14,14 +14,11 @@ from .collars import (
     collar_distance,
     collar_volume,
     gudermannian,
-    injectivity_radius_on_core_normal,
     max_half_width,
     modified_half_width,
-    same_rho_geodesic_length,
     shell_detour_length,
     shell_detour_lengths,
     shell_volume,
-    uhp_distance,
 )
 from .cuts import (
     Multicut,
@@ -29,13 +26,11 @@ from .cuts import (
     component_count_after_removal,
     make_multicut,
     min_separating_length,
-    pants_block_cut,
 )
 from .intervals import (
     IntervalSystem,
     crossing_weight,
     find_cut_index,
-    merge_to_disjoint,
     verify_cut_inequality,
 )
 from .surfaces import (
@@ -50,7 +45,6 @@ from .surfaces import (
     dump_surface,
     load_surface,
     surface_to_dict,
-    systole_on_pants_curves,
     total_volume,
 )
 from .thickthin import (

@@ -94,41 +94,8 @@ class Collar:
 
 
 # -------------------------------------------------------------------
-# model maps and distances
+# distances
 # -------------------------------------------------------------------
-
-def fermi_to_polar(point: FermiPoint, length: float) -> tuple[float, float]:
-    """Polar coordinates (r, theta) of a collar point in the upper half-plane.
-
-    The collar lifts to the wedge {r e^{i theta}} with the core on the
-    unit circle; rho = -log tan(theta/2) and t = log(r)/l invert this.
-    """
-    theta = 2.0 * math.atan(math.exp(-point.rho))
-    r = math.exp(length * point.t)
-    return r, theta
-
-
-def polar_to_fermi(r: float, theta: float, length: float) -> FermiPoint:
-    """Inverse of :func:`fermi_to_polar`."""
-    if not (0.0 < theta < math.pi):
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    rho = -math.log(math.tan(0.5 * theta))
-    t = math.log(r) / length
-    return FermiPoint(rho=rho, t=t)
-
-
-def uhp_distance(z1: complex, z2: complex) -> float:
-    """Hyperbolic distance in the upper half-plane.
-
-    cosh d = 1 + |z1 - z2|^2 / (2 Im z1 Im z2).
-    """
-    y1, y2 = z1.imag, z2.imag
-    if y1 <= 0.0 or y2 <= 0.0:
-        raise ValueError("points must have positive imaginary part")
-    return math.acosh(1.0 + abs(z1 - z2) ** 2 / (2.0 * y1 * y2))
-
 
 def _collar_distances(rho1, t1, rho2, t2, length) -> np.ndarray:
     """Geodesic distances between collar points, element-wise over arrays.
@@ -168,22 +135,6 @@ def collar_distance(p: FermiPoint, q: FermiPoint, length: float) -> float:
     form of the array kernel behind :func:`shell_detour_lengths`.
     """
     return float(_collar_distances(p.rho, p.t, q.rho, q.t, length))
-
-
-def same_rho_geodesic_length(rho: float, t: float, length: float) -> float:
-    """Length of the geodesic arc between (rho, 0) and (rho, t), 0 <= t <= 1.
-
-    sinh(L/2) = sinh(t l / 2) cosh(rho); at t = 1 this is twice the
-    injectivity radius on the equidistant circle.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return 2.0 * math.asinh(math.sinh(0.5 * t * length) * math.cosh(rho))
-
-
-def injectivity_radius_on_core_normal(rho: float, length: float) -> float:
-    """Injectivity radius at distance rho from the core: arcsinh(sinh(l/2) cosh rho)."""
-    return math.asinh(math.sinh(0.5 * length) * math.cosh(rho))
 
 
 def shell_detour_lengths(rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.ndarray]:

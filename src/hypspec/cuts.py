@@ -14,8 +14,8 @@ branch-and-bound beyond, under a node budget.  Ties are exact ties of
 the summed lengths and break toward the lexicographically smallest
 label tuple.  The two subset searches compare correctly rounded
 (``math.fsum``) totals, so they return the same optimum unless two
-candidate totals differ by less than one ulp.  A constructive
-pants-block cut gives the classical existence bound 78 i (g-1).
+candidate totals differ by less than one ulp.  ``bers_upper_bound``
+gives the classical existence bound 78 i (g-1).
 """
 from __future__ import annotations
 
@@ -388,36 +388,3 @@ def bers_upper_bound(i: int, genus: int) -> float:
     if not 1 <= i <= 2 * genus - 3:
         raise ValueError(f"i must satisfy 1 <= i <= 2g-3 = {2 * genus - 3}, got {i}")
     return 78.0 * i * (genus - 1)
-
-
-def pants_block_cut(
-    surface: PantsSurface, i: int, picked: tuple[str, ...] | None = None
-) -> Multicut:
-    """Cut along every boundary curve of ``i`` chosen pants.
-
-    Removing all curves incident to the picked pants isolates each of
-    them, leaving at least i+1 components with at most 3i curves cut.
-    ``picked`` defaults to the first i pants in sorted id order.
-    """
-    _validate_i(surface, i)
-    if picked is None:
-        picked = tuple(sorted(surface.vertices)[:i])
-    else:
-        picked = tuple(picked)
-        missing = [v for v in picked if v not in surface.vertices]
-        if missing:
-            raise KeyError(f"unknown pants ids: {missing}")
-        if len(set(picked)) != i:
-            raise ValueError(f"picked must contain exactly i={i} distinct pants")
-    chosen = set(picked)
-    labels = sorted(
-        e.label for e in surface.edges if e.a in chosen or e.b in chosen
-    )
-    cut = make_multicut(surface, labels)
-    if cut.component_count < i + 1:  # pragma: no cover - guaranteed by construction
-        raise AssertionError(
-            f"block cut produced {cut.component_count} components, expected >= {i + 1}"
-        )
-    if len(cut.edge_labels) > 3 * i:  # pragma: no cover - trivalence bound
-        raise AssertionError("block cut exceeded 3i curves")
-    return cut

@@ -101,14 +101,6 @@ def verify_cut_inequality(
     return lhs >= rhs - tol
 
 
-def cut_inequality_terms(system: IntervalSystem, cut_index: int) -> tuple[float, float]:
-    """(lhs, rhs) of the cut inequality, for reporting."""
-    return (
-        weighted_gap_sum(system),
-        system.total_gap() * crossing_weight(system, cut_index),
-    )
-
-
 # -------------------------------------------------------------------
 # constructive cut index
 # -------------------------------------------------------------------
@@ -186,11 +178,12 @@ def find_cut_index(system: IntervalSystem) -> int:
     return k
 
 
-def reduction_functionals(system: IntervalSystem) -> list[float]:
+def _reduction_functionals(system: IntervalSystem) -> list[float]:
     """Functional value of the original system and of every merged stage.
 
     The sequence is nonincreasing; the final entry belongs to a
-    two-interval system whose cut inequality is an identity.
+    two-interval system whose cut inequality is an identity.  The tests
+    check that monotonicity, which :func:`find_cut_index` relies on.
     """
     ints = [tuple(ab) for ab in system.intervals]
     w = system.weights.copy()
@@ -199,52 +192,6 @@ def reduction_functionals(system: IntervalSystem) -> list[float]:
         ints, w, _ = _collapse_once(ints, w)
         out.append(weighted_gap_sum(IntervalSystem(tuple(ints), w)))
     return out
-
-
-# -------------------------------------------------------------------
-# merging raw overlapping intervals
-# -------------------------------------------------------------------
-
-def merge_to_disjoint(
-    raw: list[tuple[float, float]],
-) -> tuple[list[tuple[float, float]], list[int]]:
-    """Union of possibly-overlapping intervals as disjoint blocks.
-
-    Returns the merged blocks in increasing order and, for each input
-    interval, the index of the block containing it.  Touching
-    intervals ([0,1] and [1,2]) share a point and therefore merge.
-    """
-    for k, (a, b) in enumerate(raw):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"interval #{k} has non-finite endpoints ({a}, {b})")
-        if a > b:
-            raise ValueError(f"interval #{k} is reversed: ({a}, {b})")
-    order = sorted(range(len(raw)), key=lambda k: raw[k])
-    merged: list[list[float]] = []
-    assignment = [0] * len(raw)
-    for k in order:
-        a, b = raw[k]
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-        assignment[k] = len(merged) - 1
-    return [(a, b) for a, b in merged], assignment
-
-
-def reduced_gap(
-    merged: list[tuple[float, float]], assignment: list[int], i: int, j: int
-) -> float:
-    """Distance between the merged blocks containing inputs i and j.
-
-    Zero when both landed in the same block; never exceeds the
-    distance between the original intervals.
-    """
-    ki, kj = assignment[i], assignment[j]
-    if ki == kj:
-        return 0.0
-    lo, hi = min(ki, kj), max(ki, kj)
-    return max(0.0, merged[hi][0] - merged[lo][1])
 
 
 def random_interval_system(

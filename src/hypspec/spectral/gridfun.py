@@ -174,26 +174,6 @@ def dirichlet_energy(f: CollarGridFunction, region: str = "all") -> float:
     return float(e_rho + e_t)
 
 
-def energy_gradient(f: CollarGridFunction, region: str = "all") -> np.ndarray:
-    """Analytic gradient of :func:`dirichlet_energy` with respect to node values."""
-    _check_region(f, region)
-    dt = 1.0 / f.t.size
-    h = np.diff(f.rho)
-    mids = 0.5 * (f.rho[:-1] + f.rho[1:])
-    mask = _cell_mask(f, region)
-    grad = np.zeros_like(f.values)
-    coeff = (mask * f.ell * np.cosh(mids) / h) * dt
-    diff = f.values[1:, :] - f.values[:-1, :]
-    grad[1:, :] += 2.0 * coeff[:, None] * diff
-    grad[:-1, :] -= 2.0 * coeff[:, None] * diff
-    wts = _node_weights(f, region)
-    row = wts / (f.ell * np.cosh(f.rho)) / dt
-    d_t = np.roll(f.values, -1, axis=1) - f.values
-    grad += -2.0 * row[:, None] * d_t
-    grad += 2.0 * row[:, None] * np.roll(d_t, 1, axis=1)
-    return grad
-
-
 # -------------------------------------------------------------------
 # crossing energy
 # -------------------------------------------------------------------

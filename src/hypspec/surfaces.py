@@ -108,15 +108,6 @@ def connected_components(vertices, edge_pairs) -> list[frozenset[str]]:
     return sorted((frozenset(g) for g in groups.values()), key=lambda s: min(s))
 
 
-def vertex_degrees(surface: PantsSurface) -> dict[str, int]:
-    """Degree of each pants, counting a self-loop twice."""
-    deg = {v: 0 for v in surface.vertices}
-    for e in surface.edges:
-        deg[e.a] += 1
-        deg[e.b] += 1
-    return deg
-
-
 # ===================================================================
 # builders and validation
 # ===================================================================
@@ -286,22 +277,6 @@ def chain_central_join_label(genus: int) -> str:
 def total_volume(surface: PantsSurface) -> float:
     """Hyperbolic area 4*pi*(g-1): each of the 2(g-1) pants has area 2*pi."""
     return 4.0 * math.pi * (surface.genus - 1)
-
-
-def systole_on_pants_curves(surface: PantsSurface) -> float:
-    """Minimum pants-curve length.
-
-    This equals the true systole when every curve is shorter than
-    2*arcsinh(1) (short curves beat anything crossing their collars);
-    otherwise it is only an upper bound -- see
-    :func:`systole_certified`.
-    """
-    return min(e.length for e in surface.edges)
-
-
-def systole_certified(surface: PantsSurface) -> bool:
-    """True when all curve lengths sit strictly below 2*arcsinh(1)."""
-    return all(e.length < TWO_ARCSINH_ONE for e in surface.edges)
 
 
 # ===================================================================

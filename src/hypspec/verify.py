@@ -1,0 +1,234 @@
+"""The property/oracle checks behind ``hypspec verify``.
+
+Each check tests one ingredient of the lower bound lambda_1 >~ L_1/g^2
+(the collar identities, the epsilon constants, the shell detour, the
+interval cut inequality, the crossing and cutoff energy bounds, the 1/4
+collar floor) or the network surrogate against closed forms, and
+returns ``(passed, total)``.  Every check takes the run's random
+generator and nothing else; the ones that draw no samples ignore it.
+:data:`CHECKS` lists them in the order they run: the generator is
+shared, so that order fixes which draws each check sees.  The
+acceptance tests call the same functions.
+"""
+from __future__ import annotations
+
+import math
+from array import array
+
+import numpy as np
+
+from .collars import (
+    collar_volume,
+    max_half_width,
+    modified_half_width,
+    shell_detour_lengths,
+    shell_volume,
+)
+from .intervals import find_cut_index, random_interval_system, verify_cut_inequality
+from .spectral import (
+    NetworkEdge,
+    NetworkModel,
+    build_network,
+    collar_conductance,
+    collar_dirichlet_lambda1,
+    crossing_energy_check,
+    cutoff_extension_check,
+    network_lambda1,
+)
+from .spectral.corpus import crossing_corpus, cutoff_corpus
+from .surfaces import ChainFamilyParams, build_chain_family
+from .thickthin import decompose, epsilon_admissible
+
+
+def check_collar_identity(rng: np.random.Generator) -> tuple[int, int]:
+    """2 l sinh w(l) = 2 l / sinh(l/2) at five lengths, and e^w l / 4 -> 1."""
+    passed = total = 0
+    for ell in (1e-4, 1e-2, 0.1, 0.5, 1.0):
+        total += 1
+        w = max_half_width(ell)
+        lhs = 2.0 * ell * math.sinh(w)
+        rhs = 2.0 * ell / math.sinh(0.5 * ell)
+        if abs(lhs - rhs) <= 1e-12 * abs(rhs):
+            passed += 1
+    total += 1
+    if abs(math.exp(max_half_width(1e-4)) * 1e-4 / 4.0 - 1.0) < 1e-3:
+        passed += 1
+    return passed, total
+
+
+def check_epsilon_constants(rng: np.random.Generator) -> tuple[int, int]:
+    """eps = 0.05 is admissible; tube and shell areas reach their l -> 0 limits."""
+    passed = total = 0
+    total += 1
+    if epsilon_admissible(0.05).passed:
+        passed += 1
+    ell = 1e-6
+    w_mod = modified_half_width(ell)
+    limit_t = 4.0 / math.e**2
+    limit_s = 4.0 * (math.e - 1.0) / math.e**2
+    for value, limit in (
+        (collar_volume(ell, w_mod), limit_t),
+        (shell_volume(ell, w_mod), limit_s),
+    ):
+        total += 1
+        if abs(value - limit) < 1e-3:
+            passed += 1
+    return passed, total
+
+
+def sample_shell_detours(
+    rng: np.random.Generator, count: int
+) -> list[tuple[float, float]]:
+    """(direct, detour) pairs for random same-side shell points at direct <= 0.05.
+
+    Each attempt takes four draws: ``random`` for rho1 and t1, then
+    ``standard_normal`` scaled for the rho and t offsets (the values and
+    the generator's state are those of ``uniform(0, 1)`` and
+    ``normal(0, s)``, at a fraction of the call cost).  Attempts are
+    drawn in rounds of at most the number of pairs still missing, each
+    round tested at once with :func:`shell_detour_lengths`.  A round
+    therefore never draws past the attempt at which one-by-one sampling
+    would stop, so the pairs and the generator's final state are those
+    of drawing and testing one attempt at a time.
+    """
+    shells = tuple((ell, modified_half_width(ell)) for ell in (0.02, 0.05, 0.09))
+    max_attempts = 100 * count
+    out: list[tuple[float, float]] = []
+    attempts = 0
+    while len(out) < count and attempts < max_attempts:
+        n = min(count - len(out), max_attempts - attempts)
+        draws = array("d")
+        for _ in range(n):
+            attempts += 1
+            ell, w = shells[attempts % len(shells)]
+            rho1 = w + rng.random()
+            t1 = rng.random()
+            rho2 = min(w + 1.0, max(w, rho1 + 0.02 * rng.standard_normal()))
+            t2 = (t1 + 0.02 / (ell * math.cosh(rho1)) * rng.standard_normal()) % 1.0
+            draws.extend((rho1, rho2, t1, t2, ell))
+        direct, detour = shell_detour_lengths(*np.frombuffer(draws).reshape(n, 5).T)
+        keep = (direct > 0.0) & (direct <= 0.05)
+        out.extend(zip(direct[keep].tolist(), detour[keep].tolist()))
+    if len(out) < count:
+        raise RuntimeError("shell detour sampler failed to reach the requested count")
+    return out
+
+
+def check_shell_detour(rng: np.random.Generator) -> tuple[int, int]:
+    """detour <= 5 direct on 10 000 random shell pairs."""
+    pairs = sample_shell_detours(rng, 10_000)
+    passed = sum(1 for direct, detour in pairs if detour <= 5.0 * direct)
+    return passed, len(pairs)
+
+
+def check_interval_cut(rng: np.random.Generator) -> tuple[int, int]:
+    """On 500 random systems the constructive cut index satisfies the inequality.
+
+    A system passes when both the constructive index and an exhaustive
+    scan over every index find the inequality satisfied.
+    """
+    passed = total = 0
+    for _ in range(500):
+        total += 1
+        system = random_interval_system(rng)
+        k = find_cut_index(system)
+        exists = any(
+            verify_cut_inequality(system, kk) for kk in range(1, system.n)
+        )
+        if verify_cut_inequality(system, k) and exists:
+            passed += 1
+    return passed, total
+
+
+def check_crossing_energy(rng: np.random.Generator) -> tuple[int, int]:
+    """The crossing energy bound on 200 random collar functions."""
+    corpus = crossing_corpus(rng, 200)
+    passed = sum(1 for f in corpus if crossing_energy_check(f).passed)
+    return passed, len(corpus)
+
+
+def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
+    """The cutoff extension bounds, intermediate and final, at delta = 1/64.
+
+    Tested on 100 random collar functions.
+    """
+    corpus = cutoff_corpus(rng, 100)
+    passed = 0
+    for f, c in corpus:
+        if cutoff_extension_check(f, 1.0 / 64.0, c).passed:
+            passed += 1
+    return passed, len(corpus)
+
+
+def check_collar_ode(rng: np.random.Generator) -> tuple[int, int]:
+    """Collar Dirichlet eigenvalue > 1/4 on the 3 x 3 (length, width) grid."""
+    passed = total = 0
+    for ell in (0.05, 0.1, 0.5):
+        for w in (1.0, 2.0, max_half_width(ell)):
+            total += 1
+            if collar_dirichlet_lambda1(ell, w) > 0.25:
+                passed += 1
+    return passed, total
+
+
+def check_network_oracles(rng: np.random.Generator) -> tuple[int, int]:
+    """Closed-form network gaps, the genus-10 chain network, one conductance."""
+    passed = total = 0
+
+    total += 1
+    two = NetworkModel(
+        genus=2,
+        node_pants=(("p000",), ("p001",)),
+        masses=(3.0, 5.0),
+        edges=(NetworkEdge(label="e", a=0, b=1, conductance=0.7),),
+    )
+    if abs(network_lambda1(two) - 0.7 * (1 / 3.0 + 1 / 5.0)) <= 1e-12:
+        passed += 1
+
+    total += 1
+    n, mass, cond = 6, 2.0, 0.3
+    path = NetworkModel(
+        genus=2,
+        node_pants=tuple((f"p{i:03d}",) for i in range(n)),
+        masses=(mass,) * n,
+        edges=tuple(
+            NetworkEdge(label=f"e{i}", a=i, b=i + 1, conductance=cond)
+            for i in range(n - 1)
+        ),
+    )
+    expected = (cond / mass) * 2.0 * (1.0 - math.cos(math.pi / n))
+    if abs(network_lambda1(path) - expected) <= 1e-12:
+        passed += 1
+
+    total += 1
+    surface = build_chain_family(ChainFamilyParams(genus=10, core_length=0.09))
+    model = build_network(decompose(surface, 0.05))
+    if (
+        model.n_nodes == 18
+        and len(model.edges) == 27
+        and abs(model.total_mass() - 36.0 * math.pi) <= 1e-10
+    ):
+        passed += 1
+
+    total += 1
+    if abs(collar_conductance(0.09, 50.0) - 0.09 / math.pi) <= 1e-15:
+        passed += 1
+    return passed, total
+
+
+CHECKS = (
+    ("collar-identity", check_collar_identity),
+    ("epsilon-admissible", check_epsilon_constants),
+    ("shell-detour", check_shell_detour),
+    ("interval-cut", check_interval_cut),
+    ("crossing-energy", check_crossing_energy),
+    ("cutoff-extension", check_cutoff_extension),
+    ("collar-ode-quarter", check_collar_ode),
+    ("network-oracles", check_network_oracles),
+)
+
+
+def run_checks(seed: int) -> list[tuple[str, int, int]]:
+    """(name, passed, total) of every check in :data:`CHECKS`, on one generator."""
+    rng = np.random.default_rng(seed)
+    return [(name, *check(rng)) for name, check in CHECKS]

@@ -5,10 +5,12 @@ import sys
 import pytest
 
 import hypspec.collars
+import hypspec.verify
 from hypspec.cli import (
     EXIT_INADMISSIBLE_EPSILON,
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -20,6 +22,18 @@ def run(capsys, *argv):
 
 
 CHAIN10 = ["--family", "chain", "--genus", "10", "--length", "0.09"]
+
+VERIFY_SEED_42 = """\
+collar-identity: 6/6
+epsilon-admissible: 3/3
+shell-detour: 10000/10000
+interval-cut: 500/500
+crossing-energy: 200/200
+cutoff-extension: 100/100
+collar-ode-quarter: 9/9
+network-oracles: 4/4
+verify: 8/8 checks passed (seed=42)
+"""
 
 
 def test_build_emits_valid_surface_json(capsys):
@@ -225,5 +239,15 @@ def test_verify_never_calls_the_scalar_detour_functions(capsys, monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     code, out, _ = run(capsys, "verify", "--seed", "42")
     assert code == EXIT_OK
-    assert "shell-detour: 10000/10000" in out
-    assert out.endswith("verify: 8/8 checks passed (seed=42)\n")
+    assert out == VERIFY_SEED_42
+
+
+def test_exit_code_verify_failed(capsys, monkeypatch):
+    checks = dict(hypspec.verify.CHECKS)
+    checks["network-oracles"] = lambda rng: (0, 1)
+    monkeypatch.setattr(hypspec.verify, "CHECKS", tuple(checks.items()))
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert lines[-2] == "network-oracles: 0/1"
+    assert lines[-1] == "verify: 7/8 checks passed (seed=42)"

@@ -12,24 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hypspec.cli import sample_shell_detours
 from hypspec.collars import (
     Collar,
     FermiPoint,
     collar_distance,
     collar_volume,
-    fermi_to_polar,
     gudermannian,
-    injectivity_radius_on_core_normal,
     max_half_width,
     modified_half_width,
-    polar_to_fermi,
-    same_rho_geodesic_length,
     shell_detour_length,
     shell_detour_lengths,
     shell_volume,
-    uhp_distance,
 )
+from hypspec.verify import sample_shell_detours
 
 mpmath.mp.dps = 50
 
@@ -107,22 +102,6 @@ def test_uhp_distance_oracle():
         uhp_distance(1j, complex(0.0, -1.0))
 
 
-def test_fermi_polar_round_trip():
-    ell = 0.3
-    for rho, t in ((0.0, 0.0), (0.7, 0.25), (-1.1, 0.9), (1.2, 0.5)):
-        r, theta = fermi_to_polar(FermiPoint(rho, t), ell)
-        back = polar_to_fermi(r, theta, ell)
-        assert back.rho == pytest.approx(rho, abs=1e-12)
-        assert back.t == pytest.approx(t, abs=1e-12)
-    # the core maps to the unit circle
-    r, theta = fermi_to_polar(FermiPoint(0.0, 0.0), ell)
-    assert (r, theta) == pytest.approx((1.0, math.pi / 2), rel=1e-14)
-    with pytest.raises(ValueError):
-        polar_to_fermi(1.0, math.pi, ell)
-    with pytest.raises(ValueError):
-        polar_to_fermi(0.0, 1.0, ell)
-
-
 def test_collar_distance_same_point_and_symmetry():
     ell = 0.09
     assert collar_distance(FermiPoint(0.4, 0.1), FermiPoint(0.4, 0.1), ell) == 0.0
@@ -156,17 +135,6 @@ def test_same_rho_geodesic_matches_collar_distance():
         assert val <= t * ell * math.cosh(rho) * (1 + 1e-12)
     with pytest.raises(ValueError):
         same_rho_geodesic_length(0.5, 1.2, ell)
-
-
-def test_injectivity_radius_is_half_the_full_loop():
-    ell = 0.09
-    for rho in (0.0, 0.7, 1.3, 2.5):
-        r = injectivity_radius_on_core_normal(rho, ell)
-        loop = same_rho_geodesic_length(rho, 1.0, ell)
-        assert r == pytest.approx(loop / 2.0, rel=1e-13)
-    assert injectivity_radius_on_core_normal(0.0, ell) == pytest.approx(
-        ell / 2.0, rel=1e-12
-    )
 
 
 def test_shell_detour_vs_direct():
@@ -229,8 +197,30 @@ def test_detour_never_beats_direct(ell, drho, dt):
 
 
 # -------------------------------------------------------------------
-# the array kernel against the scalar code it replaced
+# scalar oracles, and the array kernel against the code it replaced
 # -------------------------------------------------------------------
+
+def uhp_distance(z1, z2):
+    """Hyperbolic distance in the upper half-plane.
+
+    cosh d = 1 + |z1 - z2|^2 / (2 Im z1 Im z2).
+    """
+    y1, y2 = z1.imag, z2.imag
+    if y1 <= 0.0 or y2 <= 0.0:
+        raise ValueError("points must have positive imaginary part")
+    return math.acosh(1.0 + abs(z1 - z2) ** 2 / (2.0 * y1 * y2))
+
+
+def same_rho_geodesic_length(rho, t, length):
+    """Length of the geodesic arc between (rho, 0) and (rho, t), 0 <= t <= 1.
+
+    sinh(L/2) = sinh(t l / 2) cosh(rho); at t = 1 this is twice the
+    injectivity radius on the equidistant circle.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    return 2.0 * math.asinh(math.sinh(0.5 * t * length) * math.cosh(rho))
+
 
 def reference_collar_distance(p, q, length):
     """Scalar complex-plane collar distance, over three deck translates."""

@@ -15,7 +15,6 @@ from hypspec.cuts import (
     component_count_after_removal,
     make_multicut,
     min_separating_length,
-    pants_block_cut,
 )
 from hypspec.spectral.report import assemble_report
 from hypspec.surfaces import (
@@ -176,16 +175,6 @@ def test_i_range_validation():
         min_separating_length(s, 2 * 4 - 2)  # i > 2g-3
     with pytest.raises(ValueError):
         min_separating_length(s, 1, method="magic")
-
-
-def test_pants_block_cut_properties():
-    for g in (4, 6, 10):
-        s = chain(g)
-        for i in range(1, min(2 * g - 3, 5) + 1):
-            cut = pants_block_cut(s, i)
-            assert cut.component_count >= i + 1
-            assert len(cut.edge_labels) <= 3 * i
-            assert cut.total_length <= bers_upper_bound(i, g) + 1e-12
 
 
 def test_exhaustive_total_is_a_true_minimum():

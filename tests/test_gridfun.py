@@ -19,7 +19,6 @@ from hypspec.spectral import (
     cutoff_corpus,
     cutoff_extension_check,
     dirichlet_energy,
-    energy_gradient,
     l2_norm_sq,
     sample_collar_function,
 )
@@ -120,27 +119,6 @@ def test_shell_grid_hits_walls_exactly():
     assert f.rho[i_hi] == W
     assert f.rho[0] == pytest.approx(-W - 1.0, rel=1e-15)
     assert f.rho[-1] == pytest.approx(W + 1.0, rel=1e-15)
-
-
-def test_energy_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    f = sample_collar_function(
-        ELL, 1.5, lambda r, t: 0 * r * t, has_shell=True, n_rho=40, n_t=8
-    )
-    f = f.with_values(rng.standard_normal(f.values.shape))
-    for region in ("all", "core", "shell"):
-        grad = energy_gradient(f, region)
-        eps = 1e-6
-        for _ in range(12):
-            i = int(rng.integers(f.rho.size))
-            j = int(rng.integers(f.t.size))
-            bumped = f.values.copy()
-            bumped[i, j] += eps
-            up = dirichlet_energy(f.with_values(bumped), region)
-            bumped[i, j] -= 2 * eps
-            down = dirichlet_energy(f.with_values(bumped), region)
-            fd = (up - down) / (2 * eps)
-            assert grad[i, j] == pytest.approx(fd, rel=2e-5, abs=1e-8)
 
 
 def test_crossing_check_on_odd_ramp():

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hypspec.intervals import (
     IntervalSystem,
+    _reduction_functionals,
     crossing_weight,
-    cut_inequality_terms,
     find_cut_index,
-    merge_to_disjoint,
     random_interval_system,
-    reduced_gap,
-    reduction_functionals,
     verify_cut_inequality,
     weighted_gap_sum,
 )
@@ -35,8 +32,8 @@ def test_three_point_worked_example():
     k = find_cut_index(s)
     assert k == 2
     # the inequality is tight at both cuts here
-    lhs, rhs = cut_inequality_terms(s, k)
-    assert lhs == pytest.approx(rhs, rel=1e-15)
+    lhs = weighted_gap_sum(s)
+    assert lhs == pytest.approx(s.total_gap() * crossing_weight(s, k), rel=1e-15)
     assert verify_cut_inequality(s, 1)
     assert verify_cut_inequality(s, 2)
 
@@ -44,9 +41,9 @@ def test_three_point_worked_example():
 def test_two_intervals_is_an_identity():
     s = system([(0.0, 1.0), (3.0, 5.0)], {(0, 1): 0.7})
     assert find_cut_index(s) == 1
-    lhs, rhs = cut_inequality_terms(s, 1)
     # with two intervals, lhs = w01 * gap and rhs = gap * w01
-    assert lhs == pytest.approx(rhs, rel=1e-15)
+    lhs = weighted_gap_sum(s)
+    assert lhs == pytest.approx(s.total_gap() * crossing_weight(s, 1), rel=1e-15)
     assert s.total_gap() == 2.0
 
 
@@ -109,7 +106,7 @@ def test_reduction_functionals_nonincreasing():
     rng = np.random.default_rng(11)
     for _ in range(50):
         s = random_interval_system(rng)
-        seq = reduction_functionals(s)
+        seq = _reduction_functionals(s)
         assert len(seq) == s.n - 1
         for a, b in zip(seq, seq[1:]):
             assert b <= a + 1e-12 * max(1.0, abs(a))
@@ -134,45 +131,14 @@ def test_constructive_index_matches_exhaustive_existence():
         assert find_cut_index(s) in good
 
 
-def test_merge_to_disjoint_blocks():
-    merged, assignment = merge_to_disjoint([(0.0, 1.0), (1.0, 2.0), (5.0, 6.0)])
-    assert merged == [(0.0, 2.0), (5.0, 6.0)]
-    assert assignment == [0, 0, 1]
-    # merging is order-independent
-    merged2, assignment2 = merge_to_disjoint([(5.0, 6.0), (1.0, 2.0), (0.0, 1.0)])
-    assert merged2 == merged
-    assert assignment2 == [1, 0, 0]
-    with pytest.raises(ValueError):
-        merge_to_disjoint([(1.0, 0.0)])
-    with pytest.raises(ValueError):
-        merge_to_disjoint([(0.0, math.nan)])
-
-
-def test_reduced_gap_never_exceeds_original():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        raw = [
-            tuple(sorted(rng.uniform(0.0, 10.0, size=2).tolist())) for _ in range(6)
-        ]
-        merged, assignment = merge_to_disjoint(raw)
-        for i in range(6):
-            for j in range(i + 1, 6):
-                rg = reduced_gap(merged, assignment, i, j)
-                original = max(
-                    0.0, max(raw[i][0], raw[j][0]) - min(raw[i][1], raw[j][1])
-                )
-                assert rg <= original + 1e-12
-                if assignment[i] == assignment[j]:
-                    assert rg == 0.0
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_property_cut_inequality_holds(seed):
     rng = np.random.default_rng(seed)
     s = random_interval_system(rng)
     k = find_cut_index(s)
-    lhs, rhs = cut_inequality_terms(s, k)
+    lhs = weighted_gap_sum(s)
+    rhs = s.total_gap() * crossing_weight(s, k)
     assert lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
