@@ -14,9 +14,8 @@ Example:
 import argparse
 import math
 import sys
-import warnings
 
-from hypspec.spectral import ExtrapolationWarning, collar_dirichlet_lambda1
+from hypspec.spectral import collar_dirichlet_lambda1
 
 
 def main(argv=None) -> int:
@@ -25,18 +24,13 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--widths", default="1,2,4,8,12,24,50,100", help="comma-separated half-widths"
     )
-    ap.add_argument("--n-rho", type=int, default=2048)
     ap.add_argument("--output", default=None)
     args = ap.parse_args(argv)
 
     widths = [float(tok) for tok in args.widths.split(",") if tok]
     lines = ["half_width,lambda1,floor,excess_over_quarter"]
     for w in widths:
-        with warnings.catch_warnings():
-            # the widest collars cannot meet the default grid-pair
-            # agreement; the sweep is qualitative there by design
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            lam = collar_dirichlet_lambda1(args.length, w, n=args.n_rho)
+        lam = collar_dirichlet_lambda1(args.length, w)
         floor = 0.25 + (math.pi / (2.0 * w)) ** 2
         lines.append(f"{w:.12g},{lam:.12g},{floor:.12g},{lam - 0.25:.12g}")
     text = "\n".join(lines) + "\n"

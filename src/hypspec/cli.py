@@ -164,9 +164,7 @@ def cmd_spectrum(args) -> int:
                 "network": model_dict,
                 "network_lambda1": lam,
                 "network_note": note,
-                "collar_ode_lambda1": {
-                    m.label: m.lambda1 for m in collar_modes(ttd, args.n_rho)
-                },
+                "collar_ode_lambda1": {m.label: m.lambda1 for m in collar_modes(ttd)},
             }
         ),
     )
@@ -182,7 +180,6 @@ def cmd_bounds(args) -> int:
         surface,
         args.epsilon,
         force=args.force_epsilon,
-        n_rho=args.n_rho,
         rayleigh_cut=cut,
     )
     _emit(args, _json_text(report.to_dict()))
@@ -253,14 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="network surrogate and collar modes (JSON)")
     _add_surface_args(p)
     _add_epsilon_args(p)
-    p.add_argument("--n-rho", type=int, default=1024)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bounds", help="full spectral report (JSON)")
     _add_surface_args(p)
     _add_epsilon_args(p)
-    p.add_argument("--n-rho", type=int, default=1024)
     p.add_argument("--cut", default=None, help="comma-separated labels for the Rayleigh cut")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_bounds)

@@ -1,9 +1,8 @@
 """Spectral estimates: collar ODE modes, grid-function energies, network surrogate, reports."""
 from .collar_ode import (
-    DEFAULT_N_RHO,
     ExtrapolationWarning,
     collar_dirichlet_lambda1,
-    radial_mode_lambda1,
+    collar_dirichlet_lambda1_batch,
 )
 from .corpus import crossing_corpus, cutoff_corpus
 from .gridfun import (
@@ -38,10 +37,9 @@ from .report import (
 )
 
 __all__ = [
-    "DEFAULT_N_RHO",
     "ExtrapolationWarning",
     "collar_dirichlet_lambda1",
-    "radial_mode_lambda1",
+    "collar_dirichlet_lambda1_batch",
     "crossing_corpus",
     "cutoff_corpus",
     "CollarGridFunction",

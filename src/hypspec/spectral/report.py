@@ -27,7 +27,7 @@ from ..surfaces import (
     total_volume,
 )
 from ..thickthin import DEFAULT_EPSILON, ThickThinDecomposition, decompose
-from .collar_ode import DEFAULT_N_RHO, collar_dirichlet_lambda1
+from .collar_ode import collar_dirichlet_lambda1_batch
 from .network import NetworkBuildError, build_network, network_lambda1, rayleigh_upper_bound
 
 _CSV_COLUMNS = (
@@ -60,33 +60,27 @@ class CollarMode:
     lambda1: float
 
 
-def collar_modes(
-    ttd: ThickThinDecomposition, n_rho: int = DEFAULT_N_RHO
-) -> tuple[CollarMode, ...]:
+def collar_modes(ttd: ThickThinDecomposition) -> tuple[CollarMode, ...]:
     """First Dirichlet eigenvalue of each thin collar, in collar order.
 
     Zero-width collars have no interior and are skipped.  The collar
     eigenvalue is a function of the half-width alone (see
-    :mod:`.collar_ode`), so one solve serves every collar sharing a
-    width.
+    :mod:`.collar_ode`), so each distinct width is solved once, and all
+    of them in one batched call.
     """
-    by_width: dict[float, float] = {}
-    modes = []
-    for tc in ttd.thin_collars:
-        w = tc.collar.half_width
-        if w == 0.0:
-            continue
-        if w not in by_width:
-            by_width[w] = collar_dirichlet_lambda1(tc.collar.core_length, w, n=n_rho)
-        modes.append(
-            CollarMode(
-                label=tc.label,
-                core_length=tc.collar.core_length,
-                half_width=w,
-                lambda1=by_width[w],
-            )
+    collars = [tc for tc in ttd.thin_collars if tc.collar.half_width != 0.0]
+    widths = list(dict.fromkeys(tc.collar.half_width for tc in collars))
+    values, _ = collar_dirichlet_lambda1_batch(widths)
+    by_width = dict(zip(widths, values.tolist()))
+    return tuple(
+        CollarMode(
+            label=tc.label,
+            core_length=tc.collar.core_length,
+            half_width=tc.collar.half_width,
+            lambda1=by_width[tc.collar.half_width],
         )
-    return tuple(modes)
+        for tc in collars
+    )
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,6 @@ def assemble_report(
     epsilon: float = DEFAULT_EPSILON,
     *,
     force: bool = False,
-    n_rho: int = DEFAULT_N_RHO,
     rayleigh_cut: Multicut | None = None,
 ) -> SpectralReport:
     """Run the full bounds pipeline on one surface.
@@ -136,9 +129,9 @@ def assemble_report(
     Uses the minimal 2-component cut for the Rayleigh bound unless an
     explicit ``rayleigh_cut`` is given.  The network surrogate is
     skipped (with the reason recorded) when the decomposition has no
-    two-sided thin part.  Collar eigenvalues are deduplicated across
-    collars sharing a width; zero-width collars have no interior and
-    are skipped.
+    two-sided thin part.  Collar eigenvalues are solved once per
+    distinct width, in one batched call; zero-width collars have no
+    interior and are skipped.
 
     Flags: ``cheeger_le_rayleigh`` orders the two rigorous bounds;
     ``collar_modes_above_quarter`` checks every collar eigenvalue
@@ -161,7 +154,7 @@ def assemble_report(
 
     rayleigh = rayleigh_upper_bound(surface, rayleigh_cut if rayleigh_cut is not None else cut)
 
-    modes = collar_modes(ttd, n_rho)
+    modes = collar_modes(ttd)
 
     tol = 1e-9 * max(1.0, rayleigh)
     flags = {

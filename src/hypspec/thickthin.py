@@ -13,6 +13,7 @@ also forces sinh(eps) <= 2*eps).  epsilon = 0.05 passes all three.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +65,7 @@ class EpsilonChecklist:
         return out
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def epsilon_admissible(epsilon: float) -> EpsilonChecklist:
     """Check the three collar-scale conditions for ``epsilon``.
 
@@ -72,6 +74,8 @@ def epsilon_admissible(epsilon: float) -> EpsilonChecklist:
     observed ranges are reported in the checklist.  Both area curves
     are monotone and flatten toward the analytic l -> 0 limits
     4/e^2 and 4(e-1)/e^2, so the grid resolution is not delicate.
+    The checklist is frozen, so it is computed once per ``epsilon`` and
+    repeat calls return the same object.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")

@@ -47,6 +47,16 @@ def test_admissibility_checklist_numbers():
     assert hi_s == pytest.approx(0.942, abs=2e-2)
 
 
+def test_admissibility_is_memoized_per_epsilon():
+    assert epsilon_admissible(0.05) is epsilon_admissible(0.05)
+    assert epsilon_admissible(0.04) is not epsilon_admissible(0.05)
+    # failures are not cached: every bad epsilon raises on every call
+    for bad in (math.nan, -0.05, 0.0, math.inf, -math.inf):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                epsilon_admissible(bad)
+
+
 def test_smallness_bound_value():
     assert EPSILON_SMALLNESS_BOUND == pytest.approx(1.0 / (2.0 * math.e**2), rel=1e-15)
     assert not epsilon_admissible(EPSILON_SMALLNESS_BOUND).passed
