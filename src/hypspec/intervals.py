@@ -67,23 +67,42 @@ class IntervalSystem:
         return bn - a1 - math.fsum(b - a for a, b in self.intervals)
 
 
+def _gap_sum(ints, w: list[list[float]]) -> float:
+    """sum over i < j of w[i][j] * (a_j - b_i), pair by pair in row order."""
+    total = 0.0
+    n = len(ints)
+    for i in range(n):
+        w_i, b_i = w[i], ints[i][1]
+        for j in range(i + 1, n):
+            total += w_i[j] * (ints[j][0] - b_i)
+    return total
+
+
+def _crossing(w: list[list[float]], cut_index: int) -> float:
+    """sum of w[i][j] over i < cut_index <= j, pair by pair in row order."""
+    n = len(w)
+    total = 0.0
+    for i in range(cut_index):
+        w_i = w[i]
+        for j in range(cut_index, n):
+            total += w_i[j]
+    return total
+
+
+def _holds(lhs: float, rhs: float, rtol: float) -> bool:
+    return lhs >= rhs - rtol * max(1.0, abs(lhs), abs(rhs))
+
+
 def weighted_gap_sum(system: IntervalSystem) -> float:
     """sum over i < j of w_ij * (a_j - b_i)."""
-    total = 0.0
-    ints = system.intervals
-    w = system.weights
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            total += w[i, j] * (ints[j][0] - ints[i][1])
-    return total
+    return _gap_sum(system.intervals, system.weights.tolist())
 
 
 def crossing_weight(system: IntervalSystem, cut_index: int) -> float:
     """sum of w_ij over pairs separated by the cut (1-based i <= K0 < j)."""
     if not 1 <= cut_index <= system.n - 1:
         raise ValueError(f"cut index must lie in [1, n-1], got {cut_index}")
-    w = system.weights
-    return float(sum(w[i, j] for i in range(cut_index) for j in range(cut_index, system.n)))
+    return _crossing(system.weights.tolist(), cut_index)
 
 
 def verify_cut_inequality(
@@ -97,8 +116,18 @@ def verify_cut_inequality(
     """
     lhs = weighted_gap_sum(system)
     rhs = system.total_gap() * crossing_weight(system, cut_index)
-    tol = rtol * max(1.0, abs(lhs), abs(rhs))
-    return lhs >= rhs - tol
+    return _holds(lhs, rhs, rtol)
+
+
+def cut_inequality_by_index(system: IntervalSystem, *, rtol: float = 1e-12) -> list[bool]:
+    """:func:`verify_cut_inequality` at K0 = 1, ..., n - 1, in that order.
+
+    The left-hand side and the total gap are computed once.
+    """
+    w = system.weights.tolist()
+    lhs = _gap_sum(system.intervals, w)
+    gap = system.total_gap()
+    return [_holds(lhs, gap * _crossing(w, k), rtol) for k in range(1, system.n)]
 
 
 # -------------------------------------------------------------------
@@ -106,50 +135,39 @@ def verify_cut_inequality(
 # -------------------------------------------------------------------
 
 def _collapse_once(
-    ints: list[tuple[float, float]], w: np.ndarray
-) -> tuple[list[tuple[float, float]], np.ndarray, str]:
+    ints: list[tuple[float, float]], w: list[list[float]]
+) -> tuple[list[tuple[float, float]], list[list[float]], str]:
     """Slide interval 2 onto a neighbor, merge, and return the smaller system.
 
     Returns the merged intervals, merged weights, and which side won
     ("left" or "right"; ties go left).  The functional is affine in
     the slide position, so its minimum over the admissible range sits
-    at one of the two touching positions.
+    at one of the two touching positions.  Both positions are compared
+    through the whole functional, not through its closed-form
+    difference: the two round differently, and ties must break the
+    same way every time.
     """
     n = len(ints)
     (a1, b1), (a2, b2) = ints[0], ints[1]
     a3 = ints[2][0]
     length2 = b2 - a2
+    rest = ints[2:]
+    f_left = _gap_sum([ints[0], (b1, b1 + length2)] + rest, w)
+    f_right = _gap_sum([ints[0], (a3 - length2, a3)] + rest, w)
 
-    def functional(mid: tuple[float, float]) -> float:
-        trial = [ints[0], mid] + ints[2:]
-        total = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += w[i, j] * (trial[j][0] - trial[i][1])
-        return total
-
-    left_mid = (b1, b1 + length2)
-    right_mid = (a3 - length2, a3)
-    f_left = functional(left_mid)
-    f_right = functional(right_mid)
-
+    w0, w1 = w[0], w[1]
     if f_left <= f_right:
-        merged = [(a1, b1 + length2)] + ints[2:]
-        wm = np.zeros((n - 1, n - 1))
-        wm[0, 1:] = w[0, 2:] + w[1, 2:]
-        wm[1:, 0] = wm[0, 1:]
-        wm[1:, 1:] = w[2:, 2:]
+        merged = [(a1, b1 + length2)] + rest
+        top = [0.0] + [w0[j] + w1[j] for j in range(2, n)]
+        wm = [top] + [[top[i - 1]] + w[i][2:] for i in range(2, n)]
         return merged, wm, "left"
     merged = [ints[0], (a3 - length2, ints[2][1])] + ints[3:]
-    wm = np.zeros((n - 1, n - 1))
-    wm[0, 1] = w[0, 1] + w[0, 2]
-    wm[1, 0] = wm[0, 1]
-    if n > 3:
-        wm[0, 2:] = w[0, 3:]
-        wm[2:, 0] = w[3:, 0]
-        wm[1, 2:] = w[1, 3:] + w[2, 3:]
-        wm[2:, 1] = wm[1, 2:]
-        wm[2:, 2:] = w[3:, 3:]
+    w2 = w[2]
+    top = [0.0, w0[1] + w0[2]] + w0[3:]
+    second = [top[1], 0.0] + [w1[j] + w2[j] for j in range(3, n)]
+    wm = [top, second] + [
+        [w[i][0], second[i - 1]] + w[i][3:] for i in range(3, n)
+    ]
     return merged, wm, "right"
 
 
@@ -159,12 +177,12 @@ def find_cut_index(system: IntervalSystem) -> int:
     Reduction: for n = 2 the inequality at K0 = 1 is an identity; for
     n >= 3 collapse the leftmost interior interval (ties toward the
     left neighbor), recurse on the merged (n-1)-system, and lift the
-    index back.
+    index back.  The reduction runs on plain Python floats.
     """
     if system.n < 2:
         raise ValueError("cut index needs at least two intervals")
-    ints = [tuple(ab) for ab in system.intervals]
-    w = system.weights.copy()
+    ints = list(system.intervals)
+    w = system.weights.tolist()
     lift: list[str] = []
     while len(ints) > 2:
         ints, w, side = _collapse_once(ints, w)
@@ -185,12 +203,12 @@ def _reduction_functionals(system: IntervalSystem) -> list[float]:
     two-interval system whose cut inequality is an identity.  The tests
     check that monotonicity, which :func:`find_cut_index` relies on.
     """
-    ints = [tuple(ab) for ab in system.intervals]
-    w = system.weights.copy()
-    out = [weighted_gap_sum(IntervalSystem(tuple(ints), w))]
+    ints = list(system.intervals)
+    w = system.weights.tolist()
+    out = [weighted_gap_sum(system)]
     while len(ints) > 2:
         ints, w, _ = _collapse_once(ints, w)
-        out.append(weighted_gap_sum(IntervalSystem(tuple(ints), w)))
+        out.append(weighted_gap_sum(IntervalSystem(tuple(ints), np.array(w))))
     return out
 
 

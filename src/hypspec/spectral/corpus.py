@@ -7,6 +7,14 @@ shell mass and energy at most delta*c), so its corpus is built to
 satisfy them: plateau profiles that taper inside the collar to a small
 residual level, times a mild oscillation along the core.  Both
 generators are pure functions of the supplied RNG.
+
+Function k of a corpus lives on shape ``k % len(shapes)``.  Every
+function's parameters are drawn first, in order of k; the functions of
+each shape are then sampled together as one stacked
+:class:`CollarGridFunction` (values of shape (k, n_rho, n_t) for the
+shape's k functions), and a corpus is the list of its shapes' stacks.  The draws, the node
+values and the floors are those of sampling the functions one at a
+time.
 """
 from __future__ import annotations
 
@@ -23,65 +31,86 @@ from .gridfun import (
 )
 
 CROSSING_LENGTHS = (0.05, 0.1, 0.5)
+CROSSING_SHAPES = tuple(
+    (ell, w) for ell in CROSSING_LENGTHS for w in (1.0, 2.0, max_half_width(ell))
+)
+CROSSING_N_RHO = 128
+CROSSING_N_T = 32
+
+CUTOFF_SHAPES = ((0.05, 2.0), (0.1, 2.0), (0.1, 3.0), (0.5, 1.5))
+CUTOFF_N_RHO = 192
+CUTOFF_N_T = 32
+
 _MAX_TRIG_DEGREE = 3
 
 
-def _random_trig_polynomial(rng: np.random.Generator, half_width: float):
-    """Smooth band-limited f(rho, t): low-degree polynomial in rho times trig in t."""
-    degree = int(rng.integers(1, _MAX_TRIG_DEGREE + 1))
-    rho_coeffs = rng.normal(size=(degree + 1, 3))
-    freqs = rng.integers(0, 3, size=3)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+def crossing_corpus(rng: np.random.Generator, count: int) -> list[CollarGridFunction]:
+    """``count`` random smooth functions over (length, width) in a fixed spread.
 
-    def fn(rho, t):
-        total = 0.0
-        for m in range(3):
-            poly = sum(
-                rho_coeffs[j, m] * (rho / half_width) ** j for j in range(degree + 1)
-            )
-            total = total + poly * np.cos(2.0 * math.pi * freqs[m] * t + phases[m])
-        return total
-
-    return fn
-
-
-def crossing_corpus(
-    rng: np.random.Generator, count: int, *, n_rho: int = 128, n_t: int = 32
-) -> list[CollarGridFunction]:
-    """``count`` random smooth functions over (length, width) in a fixed spread."""
-    shapes = []
-    for ell in CROSSING_LENGTHS:
-        for w in (1.0, 2.0, max_half_width(ell)):
-            shapes.append((ell, w))
-    out = []
+    Each function is f(rho, t) = sum_m p_m(rho / w) cos(2 pi n_m t + phi_m),
+    m = 0, 1, 2, with polynomials p_m of a common random degree 1..3,
+    normal coefficients, frequencies n_m in {0, 1, 2} and uniform phases.
+    Returns one stack per shape of :data:`CROSSING_SHAPES`.
+    """
+    coeffs = np.zeros((count, _MAX_TRIG_DEGREE + 1, 3))
+    freqs = np.zeros((count, 3), dtype=np.int64)
+    phases = np.zeros((count, 3))
     for k in range(count):
-        ell, w = shapes[k % len(shapes)]
-        fn = _random_trig_polynomial(rng, w)
-        out.append(sample_collar_function(ell, w, fn, has_shell=False, n_rho=n_rho, n_t=n_t))
+        degree = int(rng.integers(1, _MAX_TRIG_DEGREE + 1))
+        coeffs[k, : degree + 1] = rng.normal(size=(degree + 1, 3))
+        freqs[k] = rng.integers(0, 3, size=3)
+        phases[k] = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    out = []
+    step = len(CROSSING_SHAPES)
+    for s, (ell, w) in enumerate(CROSSING_SHAPES[:count]):
+        out.append(_trig_stack(ell, w, coeffs[s::step], freqs[s::step], phases[s::step]))
     return out
 
 
-def _plateau_profile(half_width: float, taper_start: float, residual: float):
-    """1 on the plateau, cosine taper down to ``residual`` before the wall."""
-    taper_end = half_width
+def _trig_stack(ell: float, half_width: float, coeffs, freqs, phases) -> CollarGridFunction:
+    """One stacked grid function per row of the drawn trig-polynomial parameters."""
+    c = coeffs[:, :, :, None, None]
+    n = freqs[:, :, None, None]
+    phi = phases[:, :, None, None]
 
-    def base(rho):
-        a = np.abs(rho)
-        s = np.clip((a - taper_start) / (taper_end - taper_start), 0.0, 1.0)
-        return residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(math.pi * s))
+    def fn(rho, t):
+        # degrees above a function's own have zero coefficients
+        total = 0.0
+        for m in range(3):
+            poly = sum(
+                c[:, j, m] * (rho / half_width) ** j for j in range(_MAX_TRIG_DEGREE + 1)
+            )
+            total = total + poly * np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
+        return total
 
-    return base
+    return sample_collar_function(
+        ell, half_width, fn, has_shell=False, n_rho=CROSSING_N_RHO, n_t=CROSSING_N_T
+    )
+
+
+def _plateau_stack(
+    ell: float, half_width: float, taper_start, residual, modulation, phase
+) -> CollarGridFunction:
+    """Plateaus 1 with a cosine taper to ``residual`` at the wall, times a t-modulation.
+
+    The parameters are arrays of shape (k, 1, 1), one entry per function
+    of the stack.
+    """
+
+    def fn(rho, t):
+        s = np.clip((np.abs(rho) - taper_start) / (half_width - taper_start), 0.0, 1.0)
+        base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(math.pi * s))
+        return base * (1.0 + modulation * np.cos(2.0 * math.pi * t + phase))
+
+    return sample_collar_function(
+        ell, half_width, fn, has_shell=True, n_rho=CUTOFF_N_RHO, n_t=CUTOFF_N_T
+    )
 
 
 def cutoff_corpus(
-    rng: np.random.Generator,
-    count: int,
-    *,
-    delta: float = 1.0 / 64.0,
-    n_rho: int = 192,
-    n_t: int = 32,
-) -> list[tuple[CollarGridFunction, float]]:
-    """``count`` pairs (f, c) satisfying the cutoff hypotheses at ``delta``.
+    rng: np.random.Generator, count: int, *, delta: float = 1.0 / 64.0
+) -> list[tuple[CollarGridFunction, np.ndarray]]:
+    """``count`` functions f with floors c satisfying the cutoff hypotheses at ``delta``.
 
     Each f is a plateau that tapers to a residual level sigma before
     the shell begins (so the shell carries only the small flat part)
@@ -90,27 +119,37 @@ def cutoff_corpus(
     modulation are halved until the shell mass and energy sit below
     0.9 * delta * c — the shell budget shrinks like sigma^2 while the
     core mass stays pinned to the plateau, so this terminates fast.
+    Returns one pair (stack, floors) per shape of :data:`CUTOFF_SHAPES`;
+    each halving round resamples only the stack's functions still over
+    budget.
     """
-    shapes = [(0.05, 2.0), (0.1, 2.0), (0.1, 3.0), (0.5, 1.5)]
-    out = []
+    params = np.zeros((count, 4))
     for k in range(count):
-        ell, w = shapes[k % len(shapes)]
+        w = CUTOFF_SHAPES[k % len(CUTOFF_SHAPES)][1]
         sigma = float(rng.uniform(0.02, 0.06))
         taper_start = float(rng.uniform(0.3, 0.6)) * w
         modulation = float(rng.uniform(0.0, 0.2))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        params[k] = sigma, taper_start, modulation, phase
+    out = []
+    step = len(CUTOFF_SHAPES)
+    for s, (ell, w) in enumerate(CUTOFF_SHAPES[:count]):
+        # (k, 1, 1) columns, one row per function of the shape
+        sigma, taper_start, modulation, phase = params[s::step].T[:, :, None, None]
+        stack = f = _plateau_stack(ell, w, taper_start, sigma, modulation, phase)
+        p = np.arange(stack.values.shape[0])
+        floors = np.empty(p.size)
         while True:
-            base = _plateau_profile(w, taper_start, sigma)
-
-            def fn(rho, t, base=base, modulation=modulation, phase=phase):
-                return base(rho) * (1.0 + modulation * np.cos(2.0 * math.pi * t + phase))
-
-            f = sample_collar_function(ell, w, fn, has_shell=True, n_rho=n_rho, n_t=n_t)
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
-            if l2_norm_sq(f, "shell") <= budget and dirichlet_energy(f, "shell") <= budget:
+            done = (l2_norm_sq(f, "shell") <= budget) & (dirichlet_energy(f, "shell") <= budget)
+            stack.values[p[done]] = f.values[done]
+            floors[p[done]] = c[done]
+            p = p[~done]
+            if p.size == 0:
                 break
-            sigma *= 0.5
-            modulation *= 0.5
-        out.append((f, c))
+            sigma[p] *= 0.5
+            modulation[p] *= 0.5
+            f = _plateau_stack(ell, w, taper_start[p], sigma[p], modulation[p], phase[p])
+        out.append((stack, floors))
     return out

@@ -9,6 +9,16 @@ against the area element l cosh(rho) drho dt, with
 
     |grad f|^2 = (df/drho)^2 + (df/dt)^2 / (l cosh rho)^2.
 
+``values`` holds one function as an (n_rho, n_t) array, or a stack of
+functions on the same grid as an array of shape (..., n_rho, n_t).
+Every energy and check reduces over the last two axes, so it returns
+one number per function of the stack: a scalar for a single function,
+an array of the stack's shape otherwise.  Each function's result is
+the same whichever functions share its stack.  An energy over the
+"core" or the "shell" reads only the node rows of that region; the
+quadrature weights are those of the whole grid restricted to the
+region, so a region's energy equals its share of the whole-grid sum.
+
 Two inequality checks ride on these quadratures: the crossing-energy
 bound (any function separating the two collar walls by a gap c spends
 energy at least c^2 l / 4 inside the collar) and the cutoff-extension
@@ -19,7 +29,6 @@ is not a check failure.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +40,21 @@ _REGIONS = ("all", "core", "shell")
 
 
 class HypothesisNotMet(ValueError):
-    """An inequality check was handed a function outside its hypotheses."""
+    """An inequality check was handed a function outside its hypotheses.
 
-    def __init__(self, which: str, measured: float, bound: float):
+    ``index`` locates the function in its stack; it is ``()`` for a
+    single function.
+    """
+
+    def __init__(self, which: str, measured: float, bound: float, index: tuple = ()):
         self.which = which
         self.measured = measured
         self.bound = bound
-        super().__init__(f"hypothesis {which!r} not met: {measured!r} vs bound {bound!r}")
+        self.index = index
+        where = f" by function {index}" if index else ""
+        super().__init__(
+            f"hypothesis {which!r} not met{where}: {measured!r} vs bound {bound!r}"
+        )
 
 
 def _rho_nodes(half_width: float, has_shell: bool, n_rho: int) -> np.ndarray:
@@ -59,7 +76,7 @@ def _rho_nodes(half_width: float, has_shell: bool, n_rho: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollarGridFunction:
-    """Node values of a function on a collar (optionally with its shell)."""
+    """Node values of a function, or a stack of them, on a collar (optionally with its shell)."""
 
     ell: float
     half_width: float
@@ -69,9 +86,9 @@ class CollarGridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.rho.size, self.t.size):
+        if self.values.shape[-2:] != (self.rho.size, self.t.size):
             raise ValueError(
-                f"values must be {(self.rho.size, self.t.size)}, got {self.values.shape}"
+                f"values must end in {(self.rho.size, self.t.size)}, got {self.values.shape}"
             )
 
     def with_values(self, values: np.ndarray) -> "CollarGridFunction":
@@ -100,7 +117,11 @@ def sample_collar_function(
     n_rho: int = DEFAULT_N_RHO,
     n_t: int = DEFAULT_N_T,
 ) -> CollarGridFunction:
-    """Evaluate ``fn(rho, t)`` (numpy-broadcastable) on the collar grid."""
+    """Evaluate ``fn(rho, t)`` (numpy-broadcastable) on the collar grid.
+
+    ``fn`` receives ``rho`` as a column and ``t`` as a row; a result
+    with leading axes before those two is a stack of functions.
+    """
     if ell <= 0.0:
         raise ValueError(f"ell must be positive, got {ell}")
     if n_t < 4:
@@ -108,7 +129,7 @@ def sample_collar_function(
     rho = _rho_nodes(half_width, has_shell, n_rho)
     t = np.arange(n_t) / n_t
     vals = np.asarray(fn(rho[:, None], t[None, :]), dtype=float)
-    vals = np.broadcast_to(vals, (rho.size, t.size)).copy()
+    vals = np.broadcast_to(vals, vals.shape[:-2] + (rho.size, t.size)).copy()
     return CollarGridFunction(
         ell=ell, half_width=half_width, has_shell=has_shell, rho=rho, t=t, values=vals
     )
@@ -126,9 +147,8 @@ def _cell_mask(f: CollarGridFunction, region: str) -> np.ndarray:
     return core if region == "core" else ~core
 
 
-def _node_weights(f: CollarGridFunction, region: str) -> np.ndarray:
-    """Trapezoid weights restricted to the region's cells (bands never straddle)."""
-    mask = _cell_mask(f, region)
+def _node_weights(f: CollarGridFunction, mask: np.ndarray) -> np.ndarray:
+    """Trapezoid weights restricted to the masked cells (bands never straddle)."""
     h = np.diff(f.rho)
     w = np.zeros(f.rho.size)
     hw = 0.5 * h * mask
@@ -137,41 +157,76 @@ def _node_weights(f: CollarGridFunction, region: str) -> np.ndarray:
     return w
 
 
-def _check_region(f: CollarGridFunction, region: str) -> None:
+@dataclass(frozen=True)
+class _RegionRows:
+    """The node rows a region's quadrature reads, with their weights.
+
+    ``rows`` selects the nodes of nonzero trapezoid weight (a slice
+    when they form one run, as in the core); ``node_w`` holds those
+    weights.  ``cell_w`` weighs the radial difference between each pair
+    of consecutive selected rows: the whole-grid weight of the cell
+    that starts at the first row, which is zero where the pair bounds
+    no cell of the region (the shell's two halves meet across the
+    core there).  Dropping only zero-weight rows keeps every sum of the
+    whole-grid quadrature, term for term and in order.
+    """
+
+    rows: slice | np.ndarray
+    rho: np.ndarray
+    node_w: np.ndarray
+    cell_w: np.ndarray
+
+
+def _region_rows(f: CollarGridFunction, region: str) -> _RegionRows:
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}, got {region!r}")
     if region == "shell" and not f.has_shell:
         raise ValueError("grid function has no shell")
+    mask = _cell_mask(f, region)
+    weights = _node_weights(f, mask)
+    idx = np.flatnonzero(weights)
+    first, last = int(idx[0]), int(idx[-1])
+    rows = slice(first, last + 1) if last - first + 1 == idx.size else idx
+    mids = 0.5 * (f.rho[:-1] + f.rho[1:])
+    cell_w = mask * np.diff(f.rho) * f.ell * np.cosh(mids)
+    return _RegionRows(
+        rows=rows, rho=f.rho[rows], node_w=weights[rows], cell_w=cell_w[idx[:-1]]
+    )
 
 
 # -------------------------------------------------------------------
 # energies
 # -------------------------------------------------------------------
 
-def l2_norm_sq(f: CollarGridFunction, region: str = "all") -> float:
+def l2_norm_sq(f: CollarGridFunction, region: str = "all") -> float | np.ndarray:
     """Integral of f^2 against the area element over the region."""
-    _check_region(f, region)
-    w = _node_weights(f, region)
+    r = _region_rows(f, region)
     dt = 1.0 / f.t.size
-    row = w * f.ell * np.cosh(f.rho)
-    return float(np.einsum("i,ij->", row, f.values**2) * dt)
+    row = r.node_w * f.ell * np.cosh(r.rho)
+    return np.einsum("i,...ij->...", row, f.values[..., r.rows, :] ** 2) * dt
 
 
-def dirichlet_energy(f: CollarGridFunction, region: str = "all") -> float:
-    """Quadrature of |grad f|^2 over the region (second order in both steps)."""
-    _check_region(f, region)
+def _dirichlet(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
+    """Dirichlet quadrature of the region's node rows ``sub``."""
     dt = 1.0 / f.t.size
-    h = np.diff(f.rho)
-    mids = 0.5 * (f.rho[:-1] + f.rho[1:])
-    mask = _cell_mask(f, region)
-    d_rho = (f.values[1:, :] - f.values[:-1, :]) / h[:, None]
-    e_rho = np.einsum(
-        "i,ij->", mask * h * f.ell * np.cosh(mids), d_rho**2
+    # one scratch array per difference, updated in place: a stack's
+    # temporaries stay at one copy of its rows
+    d_rho = np.diff(sub, axis=-2)
+    d_rho /= np.diff(r.rho)[:, None]
+    e_rho = np.einsum("i,...ij->...", r.cell_w, np.square(d_rho, out=d_rho)) * dt
+    d_t = np.roll(sub, -1, axis=-1)
+    d_t -= sub
+    d_t /= dt
+    e_t = np.einsum(
+        "i,...ij->...", r.node_w / (f.ell * np.cosh(r.rho)), np.square(d_t, out=d_t)
     ) * dt
-    wts = _node_weights(f, region)
-    d_t = (np.roll(f.values, -1, axis=1) - f.values) / dt
-    e_t = np.einsum("i,ij->", wts / (f.ell * np.cosh(f.rho)), d_t**2) * dt
-    return float(e_rho + e_t)
+    return e_rho + e_t
+
+
+def dirichlet_energy(f: CollarGridFunction, region: str = "all") -> float | np.ndarray:
+    """Quadrature of |grad f|^2 over the region (second order in both steps)."""
+    r = _region_rows(f, region)
+    return _dirichlet(f, r, f.values[..., r.rows, :])
 
 
 # -------------------------------------------------------------------
@@ -180,12 +235,12 @@ def dirichlet_energy(f: CollarGridFunction, region: str = "all") -> float:
 
 @dataclass(frozen=True)
 class CrossingCheck:
-    """Crossing gap, measured core energy, and the c^2 l / 4 bound."""
+    """Crossing gap, measured core energy, and the c^2 l / 4 bound (per function)."""
 
-    crossing_gap: float
-    energy: float
-    bound: float
-    passed: bool
+    crossing_gap: float | np.ndarray
+    energy: float | np.ndarray
+    bound: float | np.ndarray
+    passed: bool | np.ndarray
 
 
 def crossing_energy_check(f: CollarGridFunction, *, rtol: float = 1e-9) -> CrossingCheck:
@@ -197,11 +252,11 @@ def crossing_energy_check(f: CollarGridFunction, *, rtol: float = 1e-9) -> Cross
     only absorbs roundoff.
     """
     i_lo, i_hi = f.wall_indices()
-    gaps = np.abs(f.values[i_hi, :] - f.values[i_lo, :])
-    c = float(gaps.min())
+    gaps = np.abs(f.values[..., i_hi, :] - f.values[..., i_lo, :])
+    c = gaps.min(axis=-1)
     energy = dirichlet_energy(f, region="core" if f.has_shell else "all")
     bound = c * c * f.ell / 4.0
-    passed = energy >= bound - rtol * max(1.0, bound)
+    passed = energy >= bound - rtol * np.maximum(1.0, bound)
     return CrossingCheck(crossing_gap=c, energy=energy, bound=bound, passed=passed)
 
 
@@ -211,34 +266,36 @@ def crossing_energy_check(f: CollarGridFunction, *, rtol: float = 1e-9) -> Cross
 
 @dataclass(frozen=True)
 class CutoffCheck:
-    """All quantities entering the cutoff-extension chain."""
+    """All quantities entering the cutoff-extension chain (per function)."""
 
     delta: float
-    mass_floor: float
-    core_mass: float
-    shell_mass: float
-    shell_energy: float
-    core_energy: float
-    final_bound: float
-    shell_extension_energy: float
-    shell_extension_bound: float
-    intermediate_ok: bool
-    final_ok: bool
+    mass_floor: float | np.ndarray
+    core_mass: float | np.ndarray
+    shell_mass: float | np.ndarray
+    shell_energy: float | np.ndarray
+    core_energy: float | np.ndarray
+    final_bound: float | np.ndarray
+    shell_extension_energy: float | np.ndarray
+    shell_extension_bound: float | np.ndarray
+    intermediate_ok: bool | np.ndarray
+    final_ok: bool | np.ndarray
 
     @property
-    def passed(self) -> bool:
-        return self.intermediate_ok and self.final_ok
+    def passed(self) -> bool | np.ndarray:
+        return self.intermediate_ok & self.final_ok
 
 
 def cutoff_extension_check(
-    f: CollarGridFunction, delta: float, mass_floor: float, *, rtol: float = 1e-9
+    f: CollarGridFunction, delta: float, mass_floor, *, rtol: float = 1e-9
 ) -> CutoffCheck:
     """Verify the cutoff-extension bound for a collar-with-shell function.
 
     Hypotheses (checked, not assumed; violation raises
     :class:`HypothesisNotMet`):  integral of f^2 over the core at
     least ``mass_floor`` = c, and shell mass and shell energy both at
-    most delta * c, with 0 < delta < 1/16.
+    most delta * c, with 0 < delta < 1/16.  For a stack, ``mass_floor``
+    holds one c per function (or one for all), and the error names the
+    first function in the stack that misses a hypothesis.
 
     The linear cutoff F = (w + 1 - |rho|) f on the shell satisfies
     |grad F|^2 <= 2 f^2 + 2 |grad f|^2 pointwise; the discrete scheme
@@ -251,29 +308,32 @@ def cutoff_extension_check(
         raise ValueError("cutoff extension needs a grid function with shell")
     if not 0.0 < delta < 1.0 / 16.0:
         raise ValueError(f"delta must lie in (0, 1/16), got {delta}")
-    if mass_floor <= 0.0:
+    mass_floor = np.asarray(mass_floor, dtype=float)
+    if (mass_floor <= 0.0).any():
         raise ValueError(f"mass_floor must be positive, got {mass_floor}")
+    shell = _region_rows(f, "shell")
     core_mass = l2_norm_sq(f, "core")
     shell_mass = l2_norm_sq(f, "shell")
-    shell_energy = dirichlet_energy(f, "shell")
-    if core_mass < mass_floor:
-        raise HypothesisNotMet("core-mass", core_mass, mass_floor)
-    if shell_mass > delta * mass_floor:
-        raise HypothesisNotMet("shell-mass", shell_mass, delta * mass_floor)
-    if shell_energy > delta * mass_floor:
-        raise HypothesisNotMet("shell-energy", shell_energy, delta * mass_floor)
+    shell_energy = _dirichlet(f, shell, f.values[..., shell.rows, :])
+    _require_hypotheses(
+        ("core-mass", core_mass, mass_floor, core_mass < mass_floor),
+        ("shell-mass", shell_mass, delta * mass_floor, shell_mass > delta * mass_floor),
+        ("shell-energy", shell_energy, delta * mass_floor, shell_energy > delta * mass_floor),
+    )
 
-    factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(f.rho))
-    extension = f.with_values(f.values * factor[:, None])
-    shell_extension_energy = dirichlet_energy(extension, "shell")
+    # the cutoff factor is 1 on the core, so F differs from f only on the shell
+    factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(shell.rho))
+    shell_extension_energy = _dirichlet(
+        f, shell, f.values[..., shell.rows, :] * factor[:, None]
+    )
     shell_extension_bound = 2.0 * shell_mass + 2.0 * shell_energy
-    intermediate_ok = shell_extension_energy <= shell_extension_bound + rtol * max(
+    intermediate_ok = shell_extension_energy <= shell_extension_bound + rtol * np.maximum(
         1.0, shell_extension_bound
     )
 
     core_energy = dirichlet_energy(f, "core")
     final_bound = (1.0 - 16.0 * delta) * mass_floor / 4.0
-    final_ok = core_energy >= final_bound - rtol * max(1.0, final_bound)
+    final_ok = core_energy >= final_bound - rtol * np.maximum(1.0, final_bound)
     return CutoffCheck(
         delta=delta,
         mass_floor=mass_floor,
@@ -286,4 +346,25 @@ def cutoff_extension_check(
         shell_extension_bound=shell_extension_bound,
         intermediate_ok=intermediate_ok,
         final_ok=final_ok,
+    )
+
+
+def _require_hypotheses(*hypotheses) -> None:
+    """Raise for the first function of the stack that misses a hypothesis.
+
+    Each hypothesis is (name, measured, bound, missed); for the first
+    function that misses any, the error names the first one it misses.
+    """
+    missed = np.stack([h[3] for h in hypotheses]).reshape(len(hypotheses), -1)
+    bad = np.flatnonzero(missed.any(axis=0))
+    if bad.size == 0:
+        return
+    k = int(bad[0])
+    name, measured, bound, _ = hypotheses[int(np.argmax(missed[:, k]))]
+    shape = np.shape(measured)
+    raise HypothesisNotMet(
+        name,
+        float(np.reshape(measured, -1)[k]),
+        float(np.broadcast_to(bound, shape).reshape(-1)[k]),
+        tuple(int(i) for i in np.unravel_index(k, shape)),
     )

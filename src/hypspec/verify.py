@@ -24,7 +24,7 @@ from .collars import (
     shell_detour_lengths,
     shell_volume,
 )
-from .intervals import find_cut_index, random_interval_system, verify_cut_inequality
+from .intervals import cut_inequality_by_index, find_cut_index, random_interval_system
 from .spectral import (
     NetworkEdge,
     NetworkModel,
@@ -131,20 +131,20 @@ def check_interval_cut(rng: np.random.Generator) -> tuple[int, int]:
     for _ in range(500):
         total += 1
         system = random_interval_system(rng)
-        k = find_cut_index(system)
-        exists = any(
-            verify_cut_inequality(system, kk) for kk in range(1, system.n)
-        )
-        if verify_cut_inequality(system, k) and exists:
+        holds = cut_inequality_by_index(system)
+        if holds[find_cut_index(system) - 1] and any(holds):
             passed += 1
     return passed, total
 
 
 def check_crossing_energy(rng: np.random.Generator) -> tuple[int, int]:
     """The crossing energy bound on 200 random collar functions."""
-    corpus = crossing_corpus(rng, 200)
-    passed = sum(1 for f in corpus if crossing_energy_check(f).passed)
-    return passed, len(corpus)
+    passed = total = 0
+    for stack in crossing_corpus(rng, 200):
+        ok = crossing_energy_check(stack).passed
+        passed += int(np.count_nonzero(ok))
+        total += ok.size
+    return passed, total
 
 
 def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
@@ -152,12 +152,12 @@ def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
 
     Tested on 100 random collar functions.
     """
-    corpus = cutoff_corpus(rng, 100)
-    passed = 0
-    for f, c in corpus:
-        if cutoff_extension_check(f, 1.0 / 64.0, c).passed:
-            passed += 1
-    return passed, len(corpus)
+    passed = total = 0
+    for stack, floors in cutoff_corpus(rng, 100):
+        ok = cutoff_extension_check(stack, 1.0 / 64.0, floors).passed
+        passed += int(np.count_nonzero(ok))
+        total += ok.size
+    return passed, total
 
 
 def check_collar_ode(rng: np.random.Generator) -> tuple[int, int]:

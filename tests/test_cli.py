@@ -1,11 +1,15 @@
 import json
 import math
 import sys
+from collections import Counter
 
 import pytest
 
 import hypspec.collars
+import hypspec.spectral.corpus
+import hypspec.spectral.gridfun
 import hypspec.verify
+from hypspec.spectral.corpus import CROSSING_SHAPES, CUTOFF_SHAPES
 from hypspec.cli import (
     EXIT_INADMISSIBLE_EPSILON,
     EXIT_INVALID_INPUT,
@@ -240,6 +244,39 @@ def test_verify_never_calls_the_scalar_detour_functions(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--seed", "42")
     assert code == EXIT_OK
     assert out == VERIFY_SEED_42
+
+
+def test_verify_computes_energies_per_stack_not_per_function(capsys, monkeypatch):
+    # 300 functions go through dirichlet_energy; the calls must follow the
+    # collar shapes (9 crossing, 4 cutoff), never the functions
+    energy = hypspec.spectral.gridfun.dirichlet_energy
+    calls = Counter()
+
+    def counting(phase):
+        def wrapper(f, region="all"):
+            assert f.values.ndim == 3, "an energy call got a single function"
+            calls[phase, f.ell, f.half_width, region] += 1
+            return energy(f, region)
+
+        return wrapper
+
+    monkeypatch.setattr(hypspec.spectral.gridfun, "dirichlet_energy", counting("check"))
+    monkeypatch.setattr(hypspec.spectral.corpus, "dirichlet_energy", counting("corpus"))
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42
+    crossing = {(ell, w) for phase, ell, w, region in calls if region == "all"}
+    cutoff = {(ell, w) for phase, ell, w, region in calls if region != "all"}
+    assert crossing == set(CROSSING_SHAPES)
+    assert cutoff == set(CUTOFF_SHAPES)
+    checks = {key: n for key, n in calls.items() if key[0] == "check"}
+    assert len(checks) == len(CROSSING_SHAPES) + len(CUTOFF_SHAPES)
+    assert set(checks.values()) == {1}
+    # the corpus samples each shape's stack once, then resamples only the
+    # functions still over their shell budget; at seed 42 one halving does
+    corpus = [n for key, n in calls.items() if key[0] == "corpus"]
+    assert len(corpus) == len(CUTOFF_SHAPES)
+    assert max(corpus) <= 2
 
 
 def test_exit_code_verify_failed(capsys, monkeypatch):

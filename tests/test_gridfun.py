@@ -158,21 +158,25 @@ def test_crossing_gap_minimizes_over_wall_pairs():
 
 def test_crossing_corpus_all_pass():
     rng = np.random.default_rng(42)
-    for f in crossing_corpus(rng, 60):
+    stacks = crossing_corpus(rng, 60)
+    assert sum(f.values.shape[0] for f in stacks) == 60
+    for f in stacks:
         chk = crossing_energy_check(f)
-        assert chk.passed, (f.ell, f.half_width, chk)
+        assert chk.passed.all(), (f.ell, f.half_width, chk)
 
 
 def test_cutoff_corpus_all_pass():
     rng = np.random.default_rng(7)
     delta = 1.0 / 64.0
-    for f, floor in cutoff_corpus(rng, 25, delta=delta):
+    stacks = cutoff_corpus(rng, 25, delta=delta)
+    assert sum(f.values.shape[0] for f, _ in stacks) == 25
+    for f, floor in stacks:
         chk = cutoff_extension_check(f, delta, floor)
-        assert chk.passed, chk
-        assert chk.shell_mass <= delta * floor
-        assert chk.shell_energy <= delta * floor
-        assert chk.core_energy >= chk.final_bound
-        assert chk.shell_extension_energy <= chk.shell_extension_bound
+        assert chk.passed.all(), chk
+        assert (chk.shell_mass <= delta * floor).all()
+        assert (chk.shell_energy <= delta * floor).all()
+        assert (chk.core_energy >= chk.final_bound).all()
+        assert (chk.shell_extension_energy <= chk.shell_extension_bound).all()
 
 
 def test_cutoff_rejects_function_heavy_in_the_shell():
@@ -231,3 +235,90 @@ def test_grid_function_shape_checks():
         sample_collar_function(ELL, 0.0, lambda r, t: r + 0 * t)
     with pytest.raises(ValueError):
         sample_collar_function(ELL, W, lambda r, t: r + 0 * t, n_t=2)
+
+
+# -------------------------------------------------------------------
+# stacks of functions on one grid
+# -------------------------------------------------------------------
+
+def _random_stack(has_shell, count=25, seed=5):
+    """``count`` smooth random functions on one grid, as one stack."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 4, 1, 1))
+    k = rng.integers(0, 3, size=(count, 1, 1))
+
+    def fn(r, t):
+        return (a[:, 0] + a[:, 1] * r + a[:, 2] * r**2) * np.cos(
+            2 * np.pi * k * t + a[:, 3]
+        )
+
+    return sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=16)
+
+
+STACK_GRIDS = pytest.mark.parametrize(
+    "has_shell, regions",
+    [(True, ("all", "core", "shell")), (False, ("all", "core"))],
+    ids=["shell-grid", "plain-grid"],
+)
+
+
+@STACK_GRIDS
+def test_stacked_energies_equal_one_function_calls(has_shell, regions):
+    stack = _random_stack(has_shell)
+    for region in regions:
+        for energy in (l2_norm_sq, dirichlet_energy):
+            stacked = energy(stack, region)
+            assert stacked.shape == (25,)
+            for k in range(25):
+                single = energy(stack.with_values(stack.values[k]), region)
+                assert np.ndim(single) == 0
+                assert stacked[k] == single, (region, energy.__name__, k)
+
+
+@STACK_GRIDS
+def test_energies_do_not_depend_on_the_stack(has_shell, regions):
+    stack = _random_stack(has_shell)
+    for region in regions:
+        for energy in (l2_norm_sq, dirichlet_energy):
+            stacked = energy(stack, region)
+            reversed_ = energy(stack.with_values(stack.values[::-1]), region)
+            for k in range(25):
+                alone = energy(stack.with_values(stack.values[k : k + 1]), region)
+                assert alone.shape == (1,)
+                assert alone[0] == stacked[k] == reversed_[24 - k]
+    chk = crossing_energy_check(stack)
+    for k in (0, 7, 24):
+        one = crossing_energy_check(stack.with_values(stack.values[k : k + 1]))
+        assert one.energy[0] == chk.energy[k]
+        assert one.crossing_gap[0] == chk.crossing_gap[k]
+        assert one.passed[0] == chk.passed[k]
+
+
+def test_cutoff_check_on_a_stack_names_the_first_violating_function():
+    delta = 1.0 / 64.0
+    f, floors = cutoff_corpus(np.random.default_rng(3), 40, delta=delta)[1]
+    assert cutoff_extension_check(f, delta, floors).passed.all()
+    values = f.values.copy()
+    values[3] = 2.0  # flat into the shell: breaks the shell-mass budget only
+    values[6] *= 1e-3  # breaks the core-mass floor
+    with pytest.raises(HypothesisNotMet) as err:
+        cutoff_extension_check(f.with_values(values), delta, floors)
+    assert (err.value.which, err.value.index) == ("shell-mass", (3,))
+    assert err.value.bound == delta * floors[3]
+    assert "function (3,)" in str(err.value)
+
+    values[1] *= 1e-3
+    with pytest.raises(HypothesisNotMet) as err:
+        cutoff_extension_check(f.with_values(values), delta, floors)
+    assert (err.value.which, err.value.index) == ("core-mass", (1,))
+    assert err.value.bound == floors[1]
+
+
+def test_stack_shape_checks():
+    stack = _random_stack(False, count=3)
+    assert stack.values.shape == (3, stack.rho.size, stack.t.size)
+    with pytest.raises(ValueError):
+        stack.with_values(np.zeros((3, stack.rho.size, stack.t.size + 1)))
+    shell = _random_stack(True, count=3)
+    with pytest.raises(ValueError):
+        cutoff_extension_check(shell, 1.0 / 64.0, np.array([1.0, -1.0, 1.0]))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import interval_oracle
 from hypspec.intervals import (
     IntervalSystem,
     _reduction_functionals,
     crossing_weight,
+    cut_inequality_by_index,
     find_cut_index,
     random_interval_system,
     verify_cut_inequality,
@@ -129,6 +131,33 @@ def test_constructive_index_matches_exhaustive_existence():
         good = [k for k in range(1, s.n) if verify_cut_inequality(s, k)]
         assert good, "no cut satisfied the inequality"
         assert find_cut_index(s) in good
+
+
+def test_cut_index_matches_the_numpy_scalar_oracle():
+    # the float reduction must break every tie the way the numpy one does
+    rng = np.random.default_rng(2718)
+    for _ in range(20_000):
+        s = random_interval_system(rng)
+        assert find_cut_index(s) == interval_oracle.find_cut_index(s), (s.intervals, s.weights)
+
+
+def test_inequality_verdicts_match_the_numpy_scalar_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(2_000):
+        s = random_interval_system(rng)
+        assert weighted_gap_sum(s) == interval_oracle.weighted_gap_sum(s)
+        expected = [interval_oracle.verify_cut_inequality(s, k) for k in range(1, s.n)]
+        assert [verify_cut_inequality(s, k) for k in range(1, s.n)] == expected
+        assert cut_inequality_by_index(s) == expected
+        for k in range(1, s.n):
+            assert crossing_weight(s, k) == interval_oracle.crossing_weight(s, k)
+
+
+def test_reduction_runs_on_plain_floats():
+    s = random_interval_system(np.random.default_rng(4), max_intervals=8)
+    assert type(weighted_gap_sum(s)) is float
+    assert type(crossing_weight(s, 1)) is float
+    assert all(type(v) is float for v in _reduction_functionals(s))
 
 
 @settings(max_examples=200, deadline=None)
