@@ -24,7 +24,7 @@ from .collars import (
     shell_detour_lengths,
     shell_volume,
 )
-from .intervals import cut_inequality_by_index, find_cut_index, random_interval_system
+from .intervals import cut_inequality_verdicts, find_cut_indices, random_interval_systems
 from .spectral import (
     NetworkEdge,
     NetworkModel,
@@ -86,12 +86,17 @@ def sample_shell_detours(
     the generator's state are those of ``uniform(0, 1)`` and
     ``normal(0, s)``, at a fraction of the call cost).  Attempts are
     drawn in rounds of at most the number of pairs still missing, each
-    round tested at once with :func:`shell_detour_lengths`.  A round
-    therefore never draws past the attempt at which one-by-one sampling
-    would stop, so the pairs and the generator's final state are those
-    of drawing and testing one attempt at a time.
+    round turned into points and tested at once with
+    :func:`shell_detour_lengths`.  A round therefore never draws past the
+    attempt at which one-by-one sampling would stop, so the pairs and the
+    generator's final state are those of drawing and testing one attempt
+    at a time.  The t offset's scale takes ``math.cosh``, not
+    ``np.cosh``: the two can differ in the last bit, which can move a
+    pair across the acceptance bound and so change the stream.
     """
-    shells = tuple((ell, modified_half_width(ell)) for ell in (0.02, 0.05, 0.09))
+    ells = np.array([0.02, 0.05, 0.09])
+    widths = np.array([modified_half_width(ell) for ell in ells.tolist()])
+    random, normal = rng.random, rng.standard_normal
     max_attempts = 100 * count
     out: list[tuple[float, float]] = []
     attempts = 0
@@ -99,14 +104,16 @@ def sample_shell_detours(
         n = min(count - len(out), max_attempts - attempts)
         draws = array("d")
         for _ in range(n):
-            attempts += 1
-            ell, w = shells[attempts % len(shells)]
-            rho1 = w + rng.random()
-            t1 = rng.random()
-            rho2 = min(w + 1.0, max(w, rho1 + 0.02 * rng.standard_normal()))
-            t2 = (t1 + 0.02 / (ell * math.cosh(rho1)) * rng.standard_normal()) % 1.0
-            draws.extend((rho1, rho2, t1, t2, ell))
-        direct, detour = shell_detour_lengths(*np.frombuffer(draws).reshape(n, 5).T)
+            draws.extend((random(), random(), normal(), normal()))
+        u, t1, z_rho, z_t = np.frombuffer(draws).reshape(n, 4).T
+        shell = (attempts + 1 + np.arange(n)) % len(ells)
+        attempts += n
+        ell, w = ells[shell], widths[shell]
+        rho1 = w + u
+        rho2 = np.minimum(w + 1.0, np.maximum(w, rho1 + 0.02 * z_rho))
+        cosh1 = np.array(list(map(math.cosh, rho1.tolist())))
+        t2 = (t1 + 0.02 / (ell * cosh1) * z_t) % 1.0
+        direct, detour = shell_detour_lengths(rho1, rho2, t1, t2, ell)
         keep = (direct > 0.0) & (direct <= 0.05)
         out.extend(zip(direct[keep].tolist(), detour[keep].tolist()))
     if len(out) < count:
@@ -125,16 +132,13 @@ def check_interval_cut(rng: np.random.Generator) -> tuple[int, int]:
     """On 500 random systems the constructive cut index satisfies the inequality.
 
     A system passes when both the constructive index and an exhaustive
-    scan over every index find the inequality satisfied.
+    scan over every index find the inequality satisfied.  The systems
+    are drawn, then reduced, as one stack.
     """
-    passed = total = 0
-    for _ in range(500):
-        total += 1
-        system = random_interval_system(rng)
-        holds = cut_inequality_by_index(system)
-        if holds[find_cut_index(system) - 1] and any(holds):
-            passed += 1
-    return passed, total
+    stack = random_interval_systems(rng, 500)
+    holds = cut_inequality_verdicts(stack)
+    constructive = holds[np.arange(stack.count), find_cut_indices(stack) - 1]
+    return int(np.count_nonzero(constructive & holds.any(axis=1))), stack.count
 
 
 def check_crossing_energy(rng: np.random.Generator) -> tuple[int, int]:

@@ -1,11 +1,30 @@
-"""Numpy-scalar oracle for the interval cut reduction.
+"""One-system oracles for the interval cut reduction and its random draw.
 
-The cut reduction and its sums as they were before the library moved
-them to plain Python floats: weights are read element by element from
-the numpy array and merged systems are numpy arrays.  The library must
-return the same cut index and the same inequality verdicts.
+The cut reduction and its sums on numpy scalars, one system at a time:
+weights are read element by element from the numpy array and merged
+systems are numpy arrays.  The library, which reduces whole stacks,
+must return the same cut index and the same inequality verdicts.
+``random_interval_system`` draws one system with one generator call per
+part; the library's stacked draw must give the same systems and leave
+the generator in the same state.
 """
 import numpy as np
+
+from hypspec.intervals import IntervalSystem
+
+
+def random_interval_system(rng, max_intervals=8):
+    """Random chain-ordered system, degenerate and touching cases included."""
+    n = int(rng.integers(2, max_intervals + 1))
+    pts = np.sort(rng.uniform(0.0, 10.0, size=2 * n))
+    for k in range(1, 2 * n):
+        if rng.random() < 0.2:
+            pts[k] = pts[k - 1]
+    intervals = tuple((float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(n))
+    w = rng.uniform(0.0, 1.0, size=(n, n))
+    w *= rng.random(size=(n, n)) < 0.7
+    w = np.triu(w, 1)
+    return IntervalSystem(intervals=intervals, weights=w + w.T)
 
 
 def weighted_gap_sum(system) -> float:

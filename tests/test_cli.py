@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import hypspec.collars
+import hypspec.intervals
 import hypspec.spectral.corpus
 import hypspec.spectral.gridfun
 import hypspec.verify
@@ -238,6 +239,20 @@ def test_verify_never_calls_the_scalar_detour_functions(capsys, monkeypatch):
 
     for name in ("collar_distance", "shell_detour_length"):
         scalar = getattr(hypspec.collars, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "hypspec" and getattr(module, name, None) is scalar:
+                monkeypatch.setattr(module, name, refuse)
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42
+
+
+def test_verify_never_reduces_one_interval_system_at_a_time(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify drew or reduced a single interval system")
+
+    for name in ("find_cut_index", "cut_inequality_by_index", "random_interval_system"):
+        scalar = getattr(hypspec.intervals, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "hypspec" and getattr(module, name, None) is scalar:
                 monkeypatch.setattr(module, name, refuse)

@@ -6,14 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 import interval_oracle
 from hypspec.intervals import (
+    IntervalStack,
     IntervalSystem,
     _reduction_functionals,
     crossing_weight,
+    crossing_weights,
     cut_inequality_by_index,
+    cut_inequality_verdicts,
     find_cut_index,
+    find_cut_indices,
     random_interval_system,
+    random_interval_systems,
+    total_gaps,
     verify_cut_inequality,
     weighted_gap_sum,
+    weighted_gap_sums,
 )
 
 
@@ -84,6 +91,14 @@ def test_ordering_validation():
         system([(0.0, math.inf)], {})
     with pytest.raises(ValueError):
         IntervalSystem(intervals=(), weights=np.zeros((0, 0)))
+    # the second system of a stack overlaps its intervals
+    with pytest.raises(ValueError, match="violated at position 1: 2.0 > 1.5"):
+        IntervalStack(
+            n=[2, 2],
+            a=[[0.0, 2.0], [0.0, 1.5]],
+            b=[[1.0, 3.0], [2.0, 3.0]],
+            weights=np.zeros((2, 2, 2)),
+        )
 
 
 def test_weight_validation():
@@ -96,6 +111,11 @@ def test_weight_validation():
         IntervalSystem(intervals=ints, weights=w)
     with pytest.raises(ValueError):
         IntervalSystem(intervals=ints, weights=-np.ones((2, 2)))
+    # the second system of a stack is asymmetric
+    stacked = np.zeros((2, 2, 2))
+    stacked[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        IntervalStack(n=[2, 2], a=[[0.0, 2.0]] * 2, b=[[1.0, 3.0]] * 2, weights=stacked)
 
 
 def test_find_cut_index_needs_two_intervals():
@@ -115,42 +135,87 @@ def test_reduction_functionals_nonincreasing():
 
 
 def test_constructive_index_satisfies_inequality():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        s = random_interval_system(rng)
-        k = find_cut_index(s)
-        assert 1 <= k <= s.n - 1
-        assert verify_cut_inequality(s, k), (s.intervals, s.weights, k)
+    stack = random_interval_systems(np.random.default_rng(3), 500)
+    holds = cut_inequality_verdicts(stack)
+    for c, k in enumerate(find_cut_indices(stack).tolist()):
+        n = int(stack.n[c])
+        assert 1 <= k <= n - 1
+        assert holds[c, k - 1], (stack.system(c).intervals, stack.system(c).weights, k)
 
 
 def test_constructive_index_matches_exhaustive_existence():
     # some cut always works; the constructive one is among them
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        s = random_interval_system(rng)
-        good = [k for k in range(1, s.n) if verify_cut_inequality(s, k)]
+    stack = random_interval_systems(np.random.default_rng(17), 200)
+    holds = cut_inequality_verdicts(stack)
+    for c, k in enumerate(find_cut_indices(stack).tolist()):
+        good = [j + 1 for j in np.flatnonzero(holds[c]).tolist()]
         assert good, "no cut satisfied the inequality"
-        assert find_cut_index(s) in good
+        assert k in good
 
 
 def test_cut_index_matches_the_numpy_scalar_oracle():
-    # the float reduction must break every tie the way the numpy one does
-    rng = np.random.default_rng(2718)
-    for _ in range(20_000):
-        s = random_interval_system(rng)
-        assert find_cut_index(s) == interval_oracle.find_cut_index(s), (s.intervals, s.weights)
+    # the stacked reduction must break every tie the way the numpy one does
+    stack = random_interval_systems(np.random.default_rng(2718), 20_000)
+    for c, k in enumerate(find_cut_indices(stack).tolist()):
+        s = stack.system(c)
+        assert k == interval_oracle.find_cut_index(s), (s.intervals, s.weights)
 
 
 def test_inequality_verdicts_match_the_numpy_scalar_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(2_000):
-        s = random_interval_system(rng)
-        assert weighted_gap_sum(s) == interval_oracle.weighted_gap_sum(s)
+    stack = random_interval_systems(np.random.default_rng(31), 2_000)
+    gaps = weighted_gap_sums(stack)
+    crossing = crossing_weights(stack)
+    holds = cut_inequality_verdicts(stack)
+    for c in range(stack.count):
+        s = stack.system(c)
+        assert gaps[c] == interval_oracle.weighted_gap_sum(s)
         expected = [interval_oracle.verify_cut_inequality(s, k) for k in range(1, s.n)]
-        assert [verify_cut_inequality(s, k) for k in range(1, s.n)] == expected
-        assert cut_inequality_by_index(s) == expected
+        assert holds[c].tolist() == expected + [False] * (stack.a.shape[1] - s.n)
         for k in range(1, s.n):
-            assert crossing_weight(s, k) == interval_oracle.crossing_weight(s, k)
+            assert crossing[c, k - 1] == interval_oracle.crossing_weight(s, k)
+
+
+@pytest.mark.parametrize("max_intervals", [2, 3, 8])
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_draw_is_the_one_system_stream(seed, max_intervals):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = random_interval_systems(rng, 40, max_intervals)
+    for c in range(stack.count):
+        expected = interval_oracle.random_interval_system(oracle_rng, max_intervals)
+        got = stack.system(c)
+        assert got.intervals == expected.intervals
+        assert np.array_equal(got.weights, expected.weights)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_one_system_functions_are_stacks_of_one():
+    stack = random_interval_systems(np.random.default_rng(5), 100)
+    ks = find_cut_indices(stack)
+    gaps, totals = weighted_gap_sums(stack), total_gaps(stack)
+    crossing, holds = crossing_weights(stack), cut_inequality_verdicts(stack)
+    for c in range(stack.count):
+        s = stack.system(c)
+        assert find_cut_index(s) == ks[c]
+        assert weighted_gap_sum(s) == gaps[c]
+        assert s.total_gap() == totals[c]
+        assert cut_inequality_by_index(s) == holds[c, : s.n - 1].tolist()
+        for k in range(1, s.n):
+            assert crossing_weight(s, k) == crossing[c, k - 1]
+            assert verify_cut_inequality(s, k) == holds[c, k - 1]
+
+
+def test_stack_padding_is_ignored_and_stored_as_zeros():
+    s = system([(0.0, 1.0), (2.0, 3.0), (5.0, 5.5)], {(0, 2): 1.0, (1, 2): 0.5})
+    w = np.full((1, 4, 4), np.nan)
+    w[0, :3, :3] = s.weights
+    padded = IntervalStack(
+        n=[3], a=[[0.0, 2.0, 5.0, np.inf]], b=[[1.0, 3.0, 5.5, -1.0]], weights=w
+    )
+    assert padded.a[0, 3] == padded.b[0, 3] == 0.0
+    assert not padded.weights[0, 3].any() and not padded.weights[0, :, 3].any()
+    assert find_cut_indices(padded)[0] == find_cut_index(s)
+    assert weighted_gap_sums(padded)[0] == weighted_gap_sum(s)
+    assert cut_inequality_verdicts(padded)[0].tolist() == cut_inequality_by_index(s) + [False]
 
 
 def test_reduction_runs_on_plain_floats():
