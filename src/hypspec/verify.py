@@ -13,7 +13,6 @@ acceptance tests call the same functions.
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .spectral import (
     NetworkModel,
     build_network,
     collar_conductance,
-    collar_dirichlet_lambda1,
+    collar_dirichlet_lambda1_batch,
     crossing_energy_check,
     cutoff_extension_check,
     network_lambda1,
@@ -81,38 +80,32 @@ def sample_shell_detours(
 ) -> list[tuple[float, float]]:
     """(direct, detour) pairs for random same-side shell points at direct <= 0.05.
 
-    Each attempt takes four draws: ``random`` for rho1 and t1, then
-    ``standard_normal`` scaled for the rho and t offsets (the values and
-    the generator's state are those of ``uniform(0, 1)`` and
-    ``normal(0, s)``, at a fraction of the call cost).  Attempts are
-    drawn in rounds of at most the number of pairs still missing, each
-    round turned into points and tested at once with
-    :func:`shell_detour_lengths`.  A round therefore never draws past the
-    attempt at which one-by-one sampling would stop, so the pairs and the
-    generator's final state are those of drawing and testing one attempt
-    at a time.  The t offset's scale takes ``math.cosh``, not
-    ``np.cosh``: the two can differ in the last bit, which can move a
-    pair across the acceptance bound and so change the stream.
+    Attempts are drawn in rounds of at most the number of pairs still
+    missing (and never past the budget of ``100 * count`` attempts).  A
+    round of n attempts makes four generator calls, each for a whole
+    array: ``random(n)`` twice, for rho1 and t1, then
+    ``standard_normal(n)`` twice, scaled for the rho and t offsets.  So
+    each attempt has the law U(0,1), U(0,1), N(0,1), N(0,1), as if drawn
+    on its own; only which values land in which attempt depends on the
+    round sizes.  Attempt k (counted from 1) uses shell ``k % 3``, and
+    the round is turned into points and tested at once with
+    :func:`shell_detour_lengths`.
     """
     ells = np.array([0.02, 0.05, 0.09])
     widths = np.array([modified_half_width(ell) for ell in ells.tolist()])
-    random, normal = rng.random, rng.standard_normal
     max_attempts = 100 * count
     out: list[tuple[float, float]] = []
     attempts = 0
     while len(out) < count and attempts < max_attempts:
         n = min(count - len(out), max_attempts - attempts)
-        draws = array("d")
-        for _ in range(n):
-            draws.extend((random(), random(), normal(), normal()))
-        u, t1, z_rho, z_t = np.frombuffer(draws).reshape(n, 4).T
+        u, t1 = rng.random(n), rng.random(n)
+        z_rho, z_t = rng.standard_normal(n), rng.standard_normal(n)
         shell = (attempts + 1 + np.arange(n)) % len(ells)
         attempts += n
         ell, w = ells[shell], widths[shell]
         rho1 = w + u
         rho2 = np.minimum(w + 1.0, np.maximum(w, rho1 + 0.02 * z_rho))
-        cosh1 = np.array(list(map(math.cosh, rho1.tolist())))
-        t2 = (t1 + 0.02 / (ell * cosh1) * z_t) % 1.0
+        t2 = (t1 + 0.02 / (ell * np.cosh(rho1)) * z_t) % 1.0
         direct, detour = shell_detour_lengths(rho1, rho2, t1, t2, ell)
         keep = (direct > 0.0) & (direct <= 0.05)
         out.extend(zip(direct[keep].tolist(), detour[keep].tolist()))
@@ -165,14 +158,14 @@ def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
 
 
 def check_collar_ode(rng: np.random.Generator) -> tuple[int, int]:
-    """Collar Dirichlet eigenvalue > 1/4 on the 3 x 3 (length, width) grid."""
-    passed = total = 0
-    for ell in (0.05, 0.1, 0.5):
-        for w in (1.0, 2.0, max_half_width(ell)):
-            total += 1
-            if collar_dirichlet_lambda1(ell, w) > 0.25:
-                passed += 1
-    return passed, total
+    """Collar Dirichlet eigenvalue > 1/4 on the 3 x 3 (length, width) grid.
+
+    The nine widths are solved in one batch; each value is the one a
+    single-width solve gives.
+    """
+    widths = [w for ell in (0.05, 0.1, 0.5) for w in (1.0, 2.0, max_half_width(ell))]
+    values, _ = collar_dirichlet_lambda1_batch(widths)
+    return int(np.count_nonzero(values > 0.25)), values.size
 
 
 def check_network_oracles(rng: np.random.Generator) -> tuple[int, int]:

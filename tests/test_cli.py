@@ -247,6 +247,40 @@ def test_verify_never_calls_the_scalar_detour_functions(capsys, monkeypatch):
     assert out == VERIFY_SEED_42
 
 
+def test_verify_draws_shell_detours_in_whole_array_rounds(capsys, monkeypatch):
+    calls = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            calls.append(("random", size))
+            return self.rng.random(size)
+
+        def standard_normal(self, size):
+            calls.append(("standard_normal", size))
+            return self.rng.standard_normal(size)
+
+    check = hypspec.verify.check_shell_detour
+    checks = dict(hypspec.verify.CHECKS)
+    checks["shell-detour"] = lambda rng: check(CountingGenerator(rng))
+    monkeypatch.setattr(hypspec.verify, "CHECKS", tuple(checks.items()))
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42
+    # each round draws four arrays of one size, as many attempts as pairs
+    # are still missing; seed 42 takes 4 rounds, not a call per attempt
+    assert len(calls) % 4 == 0
+    rounds = [calls[k : k + 4] for k in range(0, len(calls), 4)]
+    sizes = [round_calls[0][1] for round_calls in rounds]
+    for n, round_calls in zip(sizes, rounds):
+        assert round_calls == [("random", n)] * 2 + [("standard_normal", n)] * 2
+    assert sizes[0] == 10_000
+    assert sizes == sorted(sizes, reverse=True)
+    assert len(rounds) <= 20
+
+
 def test_verify_never_reduces_one_interval_system_at_a_time(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify drew or reduced a single interval system")

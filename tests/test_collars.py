@@ -24,7 +24,7 @@ from hypspec.collars import (
     shell_detour_lengths,
     shell_volume,
 )
-from hypspec.verify import sample_shell_detours
+from hypspec.verify import check_shell_detour, sample_shell_detours
 
 mpmath.mp.dps = 50
 
@@ -251,21 +251,30 @@ def reference_shell_detour_length(rho1, rho2, t1, t2, length):
 
 
 def reference_sample_shell_detours(rng, count):
-    """One attempt at a time: draw, test with the scalar reference, keep."""
+    """Round by round: the sampler's four array draws, then one attempt at a time.
+
+    Each round draws as many attempts as pairs are still missing, with
+    the same four calls as the sampler; every attempt is then built and
+    tested on its own with the scalar reference.
+    """
     lengths = (0.02, 0.05, 0.09)
     out = []
     attempts = 0
     while len(out) < count and attempts < 100 * count:
-        attempts += 1
-        ell = lengths[attempts % len(lengths)]
-        w = modified_half_width(ell)
-        rho1 = w + rng.uniform(0.0, 1.0)
-        t1 = rng.uniform(0.0, 1.0)
-        rho2 = min(w + 1.0, max(w, rho1 + rng.normal(0.0, 0.02)))
-        t2 = (t1 + rng.normal(0.0, 0.02 / (ell * math.cosh(rho1)))) % 1.0
-        direct, detour = reference_shell_detour_length(rho1, rho2, t1, t2, ell)
-        if 0.0 < direct <= 0.05:
-            out.append((direct, detour))
+        n = min(count - len(out), 100 * count - attempts)
+        u, t1s = rng.random(n).tolist(), rng.random(n).tolist()
+        z_rhos, z_ts = rng.standard_normal(n).tolist(), rng.standard_normal(n).tolist()
+        for j in range(n):
+            attempts += 1
+            ell = lengths[attempts % len(lengths)]
+            w = modified_half_width(ell)
+            rho1 = w + u[j]
+            t1 = t1s[j]
+            rho2 = min(w + 1.0, max(w, rho1 + 0.02 * z_rhos[j]))
+            t2 = (t1 + 0.02 / (ell * math.cosh(rho1)) * z_ts[j]) % 1.0
+            direct, detour = reference_shell_detour_length(rho1, rho2, t1, t2, ell)
+            if 0.0 < direct <= 0.05:
+                out.append((direct, detour))
     if len(out) < count:
         raise RuntimeError("shell detour sampler failed to reach the requested count")
     return out
@@ -336,3 +345,43 @@ def test_sampler_matches_one_attempt_at_a_time(seed):
     assert direct == pytest.approx(want_direct, rel=1e-9)
     assert detour == pytest.approx(want_detour, rel=1e-12)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class ZeroDraws:
+    """Generator stand-in whose draws are all zero, so every attempt has direct = 0.
+
+    It counts the ``random`` values drawn, two per attempt, and fails the
+    test, rather than hang, once the sampler draws past ``max_attempts``.
+    """
+
+    def __init__(self, max_attempts):
+        self.max_attempts = max_attempts
+        self.random_values = 0
+
+    def random(self, n):
+        self.random_values += n
+        assert self.random_values <= 2 * self.max_attempts, "the sampler drew past its budget"
+        return np.zeros(n)
+
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+
+def test_sampler_gives_up_after_its_attempt_budget():
+    count = 7
+    stub = ZeroDraws(max_attempts=100 * count)
+    with pytest.raises(RuntimeError, match="failed to reach the requested count"):
+        sample_shell_detours(stub, count)
+    assert stub.random_values == 2 * 100 * count
+
+
+def test_shell_detour_check_passes_in_full_on_fifty_seeds():
+    # verify prints only pass/total counts, and shell-detour is the first
+    # check that draws, so this pins verify's shell-detour line at
+    # 10000/10000 on these seeds whatever order the pairs are drawn in
+    failing = {}
+    for seed in range(50):
+        result = check_shell_detour(np.random.default_rng(seed))
+        if result != (10_000, 10_000):
+            failing[seed] = result
+    assert failing == {}
