@@ -22,7 +22,9 @@ pair adds a signed zero, which leaves a sum that starts at +0.0
 unchanged: each system gets exactly the float operations, in the same
 order, of reducing it alone.  The single-system functions
 (``find_cut_index``, ``cut_inequality_by_index``, ...) are the stacked
-ones applied to a stack of one.
+ones applied to a stack of one.  ``random_interval_systems`` draws a
+whole stack with one generator call for the sizes and one per size
+drawn; each system has the law of drawing it alone.
 """
 from __future__ import annotations
 
@@ -340,29 +342,27 @@ def random_interval_systems(
     Endpoints are sorted uniforms on [0, 10] with some collapsed onto
     their left neighbor (each with probability 0.2, producing
     zero-length intervals and touching pairs); weights are a sparsified
-    (kept with probability 0.7) symmetric uniform matrix.  Each system
-    takes one ``integers`` draw for n and one ``random`` draw of
-    4n - 1 + 2n^2 values, sliced into the 2n endpoints, the 2n - 1
-    collapse coins, the n x n weights and the n x n sparsity mask.
-    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``, so the values
-    and the generator's state are those of drawing each part with its
-    own call.  The stack has width ``max_intervals``.
+    (kept with probability 0.7) symmetric uniform matrix.  The stack
+    has width ``max_intervals``.
+
+    The draws come as whole arrays: one ``integers`` call gives every
+    system's n, uniform on 2..max_intervals, then one ``random`` call
+    per size, in increasing order of size, gives the 4n - 1 + 2n^2
+    values of each system of that size, one row per system in stack
+    order, sliced into the 2n endpoints (scaled to [0, 10]), the 2n - 1
+    collapse coins, the n x n weights and the n x n sparsity mask.  So
+    every system has the law of drawing it on its own; only which draw
+    lands in which system depends on the sizes drawn.
     """
-    integers, random = rng.integers, rng.random
-    sizes, draws = [], []
-    for _ in range(count):
-        k = int(integers(2, max_intervals + 1))
-        sizes.append(k)
-        draws.append(random(4 * k - 1 + 2 * k * k))
-    n = np.array(sizes, dtype=np.intp)
+    n = rng.integers(2, max_intervals + 1, size=count)
     width = max_intervals
     pts = np.full((count, 2 * width), np.inf)
     coins = np.ones((count, 2 * width))
     weights = np.zeros((count, width, width))
     kept = np.zeros((count, width, width))
-    for k in np.unique(n).tolist():
+    for k in sorted(set(n.tolist())):
         rows = np.flatnonzero(n == k)
-        u = np.stack([draws[r] for r in rows])
+        u = rng.random((rows.size, 4 * k - 1 + 2 * k * k))
         pts[rows, : 2 * k] = 10.0 * u[:, : 2 * k]
         coins[rows, 1 : 2 * k] = u[:, 2 * k : 4 * k - 1]
         weights[rows, :k, :k] = u[:, 4 * k - 1 : 4 * k - 1 + k * k].reshape(-1, k, k)

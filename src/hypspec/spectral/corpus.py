@@ -9,12 +9,19 @@ residual level, times a mild oscillation along the core.  Both
 generators are pure functions of the supplied RNG.
 
 Function k of a corpus lives on shape ``k % len(shapes)``.  Every
-function's parameters are drawn first, in order of k; the functions of
-each shape are then sampled together as one stacked
-:class:`CollarGridFunction` (values of shape (k, n_rho, n_t) for the
-shape's k functions), and a corpus is the list of its shapes' stacks.  The draws, the node
-values and the floors are those of sampling the functions one at a
-time.
+function's parameters are drawn first, as whole arrays over the
+corpus; the functions of each shape are then sampled together as one
+stacked :class:`CollarGridFunction` (values of shape (k, n_rho, n_t)
+for the shape's k functions), and a corpus is the list of its shapes'
+stacks.  The crossing corpus draws four arrays, in this order: every
+degree, every coefficient (four rows per function, those above its
+degree set to zero), every frequency triple, every phase triple; each
+function has the law of drawing it alone, and only which draw lands in
+which function depends on the order.  The cutoff corpus draws its
+four parameters per function as one ``random((count, 4))`` array,
+which gives the values and generator state of one ``uniform`` call per
+parameter and function.  The node values and the floors are those of
+sampling each function on its own.
 """
 from __future__ import annotations
 
@@ -23,12 +30,7 @@ import math
 import numpy as np
 
 from ..collars import max_half_width
-from .gridfun import (
-    CollarGridFunction,
-    dirichlet_energy,
-    l2_norm_sq,
-    sample_collar_function,
-)
+from .gridfun import CollarGridFunction, _sample, dirichlet_energy, l2_norm_sq
 
 CROSSING_LENGTHS = (0.05, 0.1, 0.5)
 CROSSING_SHAPES = tuple(
@@ -52,14 +54,11 @@ def crossing_corpus(rng: np.random.Generator, count: int) -> list[CollarGridFunc
     normal coefficients, frequencies n_m in {0, 1, 2} and uniform phases.
     Returns one stack per shape of :data:`CROSSING_SHAPES`.
     """
-    coeffs = np.zeros((count, _MAX_TRIG_DEGREE + 1, 3))
-    freqs = np.zeros((count, 3), dtype=np.int64)
-    phases = np.zeros((count, 3))
-    for k in range(count):
-        degree = int(rng.integers(1, _MAX_TRIG_DEGREE + 1))
-        coeffs[k, : degree + 1] = rng.normal(size=(degree + 1, 3))
-        freqs[k] = rng.integers(0, 3, size=3)
-        phases[k] = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    degrees = rng.integers(1, _MAX_TRIG_DEGREE + 1, size=count)
+    coeffs = rng.standard_normal((count, _MAX_TRIG_DEGREE + 1, 3))
+    coeffs[np.arange(_MAX_TRIG_DEGREE + 1) > degrees[:, None]] = 0.0
+    freqs = rng.integers(0, 3, size=(count, 3))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
     out = []
     step = len(CROSSING_SHAPES)
     for s, (ell, w) in enumerate(CROSSING_SHAPES[:count]):
@@ -75,17 +74,18 @@ def _trig_stack(ell: float, half_width: float, coeffs, freqs, phases) -> CollarG
 
     def fn(rho, t):
         # degrees above a function's own have zero coefficients
-        total = 0.0
+        powers = [(rho / half_width) ** j for j in range(_MAX_TRIG_DEGREE + 1)]
+        total = np.zeros((len(c), rho.size, t.size))
+        term = np.empty_like(total)
         for m in range(3):
-            poly = sum(
-                c[:, j, m] * (rho / half_width) ** j for j in range(_MAX_TRIG_DEGREE + 1)
-            )
-            total = total + poly * np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
+            poly = sum(c[:, j, m] * powers[j] for j in range(_MAX_TRIG_DEGREE + 1))
+            wave = np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
+            # einsum forms each product exactly (a -0.0 product as +0.0,
+            # which no sum that starts at +0.0 can tell apart)
+            total += np.einsum("kri,kit->krt", poly, wave, out=term)
         return total
 
-    return sample_collar_function(
-        ell, half_width, fn, has_shell=False, n_rho=CROSSING_N_RHO, n_t=CROSSING_N_T
-    )
+    return _sample(ell, half_width, fn, False, CROSSING_N_RHO, CROSSING_N_T, fresh=True)
 
 
 def _plateau_stack(
@@ -100,11 +100,16 @@ def _plateau_stack(
     def fn(rho, t):
         s = np.clip((np.abs(rho) - taper_start) / (half_width - taper_start), 0.0, 1.0)
         base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(math.pi * s))
-        return base * (1.0 + modulation * np.cos(2.0 * math.pi * t + phase))
+        wave = 1.0 + modulation * np.cos(2.0 * math.pi * t + phase)
+        # the exact products, faster than a broadcast multiply
+        return np.einsum("kri,kit->krt", base, wave)
 
-    return sample_collar_function(
-        ell, half_width, fn, has_shell=True, n_rho=CUTOFF_N_RHO, n_t=CUTOFF_N_T
-    )
+    return _sample(ell, half_width, fn, True, CUTOFF_N_RHO, CUTOFF_N_T, fresh=True)
+
+
+def _uniform(u, lo: float, hi: float):
+    """``rng.uniform(lo, hi)`` from ``u = rng.random()``: numpy computes lo + (hi - lo) * u."""
+    return lo + (hi - lo) * u
 
 
 def cutoff_corpus(
@@ -123,14 +128,16 @@ def cutoff_corpus(
     each halving round resamples only the stack's functions still over
     budget.
     """
-    params = np.zeros((count, 4))
-    for k in range(count):
-        w = CUTOFF_SHAPES[k % len(CUTOFF_SHAPES)][1]
-        sigma = float(rng.uniform(0.02, 0.06))
-        taper_start = float(rng.uniform(0.3, 0.6)) * w
-        modulation = float(rng.uniform(0.0, 0.2))
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        params[k] = sigma, taper_start, modulation, phase
+    u = rng.random((count, 4))
+    widths = np.array([CUTOFF_SHAPES[k % len(CUTOFF_SHAPES)][1] for k in range(count)])
+    params = np.column_stack(
+        (
+            _uniform(u[:, 0], 0.02, 0.06),
+            _uniform(u[:, 1], 0.3, 0.6) * widths,
+            _uniform(u[:, 2], 0.0, 0.2),
+            _uniform(u[:, 3], 0.0, 2.0 * math.pi),
+        )
+    )
     out = []
     step = len(CUTOFF_SHAPES)
     for s, (ell, w) in enumerate(CUTOFF_SHAPES[:count]):
@@ -143,7 +150,8 @@ def cutoff_corpus(
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
             done = (l2_norm_sq(f, "shell") <= budget) & (dirichlet_energy(f, "shell") <= budget)
-            stack.values[p[done]] = f.values[done]
+            if f is not stack:
+                stack.values[p[done]] = f.values[done]
             floors[p[done]] = c[done]
             p = p[~done]
             if p.size == 0:

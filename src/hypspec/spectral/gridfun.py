@@ -18,6 +18,9 @@ the same whichever functions share its stack.  An energy over the
 "core" or the "shell" reads only the node rows of that region; the
 quadrature weights are those of the whole grid restricted to the
 region, so a region's energy equals its share of the whole-grid sum.
+Each grid's nodes, and each region's rows, weights and radial steps,
+are built once per grid and shared, read-only, by every later call on
+that grid; the Dirichlet sum runs in one scratch array per call.
 
 Two inequality checks ride on these quadratures: the crossing-energy
 bound (any function separating the two collar walls by a gap c spends
@@ -29,6 +32,7 @@ is not a check failure.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +61,30 @@ class HypothesisNotMet(ValueError):
         )
 
 
-def _rho_nodes(half_width: float, has_shell: bool, n_rho: int) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _grid(half_width: float, has_shell: bool, n_rho: int, n_t: int):
+    """The (rho, t) nodes of a collar grid, built once per grid and read-only."""
     if half_width <= 0.0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     if n_rho < 16:
         raise ValueError(f"n_rho must be >= 16, got {n_rho}")
+    if n_t < 4:
+        raise ValueError(f"n_t must be >= 4, got {n_t}")
     if not has_shell:
-        return np.linspace(-half_width, half_width, n_rho + 1)
-    span = 2.0 * half_width + 2.0
-    h = span / n_rho
-    n_shell = max(8, round(1.0 / h))
-    n_core = max(16, round(2.0 * half_width / h))
-    left = np.linspace(-half_width - 1.0, -half_width, n_shell + 1)
-    core = np.linspace(-half_width, half_width, n_core + 1)
-    right = np.linspace(half_width, half_width + 1.0, n_shell + 1)
-    return np.concatenate([left, core[1:], right[1:]])
+        rho = np.linspace(-half_width, half_width, n_rho + 1)
+    else:
+        span = 2.0 * half_width + 2.0
+        h = span / n_rho
+        n_shell = max(8, round(1.0 / h))
+        n_core = max(16, round(2.0 * half_width / h))
+        left = np.linspace(-half_width - 1.0, -half_width, n_shell + 1)
+        core = np.linspace(-half_width, half_width, n_core + 1)
+        right = np.linspace(half_width, half_width + 1.0, n_shell + 1)
+        rho = np.concatenate([left, core[1:], right[1:]])
+    t = np.arange(n_t) / n_t
+    rho.setflags(write=False)
+    t.setflags(write=False)
+    return rho, t
 
 
 @dataclass(frozen=True)
@@ -120,16 +133,27 @@ def sample_collar_function(
     """Evaluate ``fn(rho, t)`` (numpy-broadcastable) on the collar grid.
 
     ``fn`` receives ``rho`` as a column and ``t`` as a row; a result
-    with leading axes before those two is a stack of functions.
+    with leading axes before those two is a stack of functions.  The
+    grid function keeps its own copy of the values; its ``rho`` and
+    ``t`` nodes are read-only and shared by every function sampled on
+    the same grid.
+    """
+    return _sample(ell, half_width, fn, has_shell, n_rho, n_t, fresh=False)
+
+
+def _sample(ell, half_width, fn, has_shell, n_rho, n_t, *, fresh) -> CollarGridFunction:
+    """Sample ``fn`` on the grid, as :func:`sample_collar_function` does.
+
+    With ``fresh``, ``fn`` promises a new float array of the full grid
+    shape, which the grid function then keeps without a copy.
     """
     if ell <= 0.0:
         raise ValueError(f"ell must be positive, got {ell}")
-    if n_t < 4:
-        raise ValueError(f"n_t must be >= 4, got {n_t}")
-    rho = _rho_nodes(half_width, has_shell, n_rho)
-    t = np.arange(n_t) / n_t
-    vals = np.asarray(fn(rho[:, None], t[None, :]), dtype=float)
-    vals = np.broadcast_to(vals, vals.shape[:-2] + (rho.size, t.size)).copy()
+    rho, t = _grid(half_width, has_shell, n_rho, n_t)
+    vals = fn(rho[:, None], t[None, :])
+    if not fresh:
+        vals = np.asarray(vals, dtype=float)
+        vals = np.broadcast_to(vals, vals.shape[:-2] + (rho.size, t.size)).copy()
     return CollarGridFunction(
         ell=ell, half_width=half_width, has_shell=has_shell, rho=rho, t=t, values=vals
     )
@@ -139,42 +163,32 @@ def sample_collar_function(
 # quadrature weights
 # -------------------------------------------------------------------
 
-def _cell_mask(f: CollarGridFunction, region: str) -> np.ndarray:
-    mids = 0.5 * (f.rho[:-1] + f.rho[1:])
-    if region == "all":
-        return np.ones(mids.size, dtype=bool)
-    core = np.abs(mids) < f.half_width
-    return core if region == "core" else ~core
-
-
-def _node_weights(f: CollarGridFunction, mask: np.ndarray) -> np.ndarray:
-    """Trapezoid weights restricted to the masked cells (bands never straddle)."""
-    h = np.diff(f.rho)
-    w = np.zeros(f.rho.size)
-    hw = 0.5 * h * mask
-    w[:-1] += hw
-    w[1:] += hw
-    return w
-
-
 @dataclass(frozen=True)
 class _RegionRows:
     """The node rows a region's quadrature reads, with their weights.
 
     ``rows`` selects the nodes of nonzero trapezoid weight (a slice
-    when they form one run, as in the core); ``node_w`` holds those
-    weights.  ``cell_w`` weighs the radial difference between each pair
-    of consecutive selected rows: the whole-grid weight of the cell
-    that starts at the first row, which is zero where the pair bounds
-    no cell of the region (the shell's two halves meet across the
-    core there).  Dropping only zero-weight rows keeps every sum of the
-    whole-grid quadrature, term for term and in order.
+    when they form one run, as in the core).  Over those rows,
+    ``mass_w`` weighs f^2 (trapezoid weight times the area element
+    l cosh rho) and ``t_w`` the squared circular differences (trapezoid
+    weight over l cosh rho).  ``cell_w`` weighs the radial difference
+    between each pair of consecutive selected rows: the whole-grid
+    weight of the cell that starts at the first row, which is zero
+    where the pair bounds no cell of the region (the shell's two halves
+    meet across the core there).  ``d_rho`` holds that pair's radial
+    step once per t node, since numpy divides by a whole array of the
+    differences' shape faster than by a broadcast column.  Dropping
+    only zero-weight rows keeps every sum of the whole-grid quadrature,
+    term for term and in order.  The arrays are read-only: each grid's
+    quadrature is built once and shared.
     """
 
     rows: slice | np.ndarray
     rho: np.ndarray
-    node_w: np.ndarray
+    mass_w: np.ndarray
+    t_w: np.ndarray
     cell_w: np.ndarray
+    d_rho: np.ndarray
 
 
 def _region_rows(f: CollarGridFunction, region: str) -> _RegionRows:
@@ -182,16 +196,44 @@ def _region_rows(f: CollarGridFunction, region: str) -> _RegionRows:
         raise ValueError(f"region must be one of {_REGIONS}, got {region!r}")
     if region == "shell" and not f.has_shell:
         raise ValueError("grid function has no shell")
-    mask = _cell_mask(f, region)
-    weights = _node_weights(f, mask)
+    rho = np.asarray(f.rho, dtype=float)
+    return _quadrature(f.ell, f.half_width, rho.tobytes(), f.t.size, region)
+
+
+@functools.lru_cache(maxsize=128)
+def _quadrature(
+    ell: float, half_width: float, rho_bytes: bytes, n_t: int, region: str
+) -> _RegionRows:
+    """The region's rows and weights on the grid of nodes ``rho_bytes`` by ``n_t``."""
+    rho = np.frombuffer(rho_bytes)
+    h = np.diff(rho)
+    mids = 0.5 * (rho[:-1] + rho[1:])
+    if region == "all":
+        mask = np.ones(mids.size, dtype=bool)
+    else:
+        core = np.abs(mids) < half_width
+        mask = core if region == "core" else ~core
+    # trapezoid weights restricted to the masked cells (bands never straddle)
+    weights = np.zeros(rho.size)
+    hw = 0.5 * h * mask
+    weights[:-1] += hw
+    weights[1:] += hw
     idx = np.flatnonzero(weights)
     first, last = int(idx[0]), int(idx[-1])
     rows = slice(first, last + 1) if last - first + 1 == idx.size else idx
-    mids = 0.5 * (f.rho[:-1] + f.rho[1:])
-    cell_w = mask * np.diff(f.rho) * f.ell * np.cosh(mids)
-    return _RegionRows(
-        rows=rows, rho=f.rho[rows], node_w=weights[rows], cell_w=cell_w[idx[:-1]]
+    node_w, r_rho = weights[rows], rho[rows]
+    cell_w = mask * h * ell * np.cosh(mids)
+    out = _RegionRows(
+        rows=rows,
+        rho=r_rho,
+        mass_w=node_w * ell * np.cosh(r_rho),
+        t_w=node_w / (ell * np.cosh(r_rho)),
+        cell_w=cell_w[idx[:-1]],
+        d_rho=np.repeat(np.diff(r_rho)[:, None], n_t, axis=1),
     )
+    for a in (idx, out.rho, out.mass_w, out.t_w, out.cell_w, out.d_rho):
+        a.setflags(write=False)
+    return out
 
 
 # -------------------------------------------------------------------
@@ -201,25 +243,39 @@ def _region_rows(f: CollarGridFunction, region: str) -> _RegionRows:
 def l2_norm_sq(f: CollarGridFunction, region: str = "all") -> float | np.ndarray:
     """Integral of f^2 against the area element over the region."""
     r = _region_rows(f, region)
-    dt = 1.0 / f.t.size
-    row = r.node_w * f.ell * np.cosh(r.rho)
-    return np.einsum("i,...ij->...", row, f.values[..., r.rows, :] ** 2) * dt
+    return _mass(f, r, f.values[..., r.rows, :])
+
+
+def _mass(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
+    """L2 quadrature of the region's node rows ``sub``."""
+    return np.einsum("i,...ij->...", r.mass_w, sub**2) * (1.0 / f.t.size)
 
 
 def _dirichlet(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
-    """Dirichlet quadrature of the region's node rows ``sub``."""
+    """Dirichlet quadrature of the region's node rows ``sub``.
+
+    Both differences are taken, scaled and squared in place in one
+    scratch array of ``sub``'s size, on each function's rows read as one
+    flat run: a radial difference pairs entries one row apart, a
+    circular one neighbours in a row, and only the last one of each row
+    wraps around to the row's start.  The radial differences fill the
+    scratch array's head, one row less per function.
+    """
     dt = 1.0 / f.t.size
-    # one scratch array per difference, updated in place: a stack's
-    # temporaries stay at one copy of its rows
-    d_rho = np.diff(sub, axis=-2)
-    d_rho /= np.diff(r.rho)[:, None]
+    lead, (m, n) = sub.shape[:-2], sub.shape[-2:]
+    flat = sub.reshape(lead + (m * n,))
+    scratch = np.empty(sub.size)
+    d_rho = scratch[: sub.size // m * (m - 1)].reshape(lead + ((m - 1) * n,))
+    np.subtract(flat[..., n:], flat[..., :-n], out=d_rho)
+    d_rho = d_rho.reshape(lead + (m - 1, n))
+    d_rho /= r.d_rho
     e_rho = np.einsum("i,...ij->...", r.cell_w, np.square(d_rho, out=d_rho)) * dt
-    d_t = np.roll(sub, -1, axis=-1)
-    d_t -= sub
+    d_t = scratch.reshape(lead + (m * n,))
+    np.subtract(flat[..., 1:], flat[..., :-1], out=d_t[..., :-1])
+    d_t = d_t.reshape(sub.shape)
+    np.subtract(sub[..., 0], sub[..., -1], out=d_t[..., -1])
     d_t /= dt
-    e_t = np.einsum(
-        "i,...ij->...", r.node_w / (f.ell * np.cosh(r.rho)), np.square(d_t, out=d_t)
-    ) * dt
+    e_t = np.einsum("i,...ij->...", r.t_w, np.square(d_t, out=d_t)) * dt
     return e_rho + e_t
 
 
@@ -312,9 +368,10 @@ def cutoff_extension_check(
     if (mass_floor <= 0.0).any():
         raise ValueError(f"mass_floor must be positive, got {mass_floor}")
     shell = _region_rows(f, "shell")
+    shell_values = f.values[..., shell.rows, :]
     core_mass = l2_norm_sq(f, "core")
-    shell_mass = l2_norm_sq(f, "shell")
-    shell_energy = _dirichlet(f, shell, f.values[..., shell.rows, :])
+    shell_mass = _mass(f, shell, shell_values)
+    shell_energy = _dirichlet(f, shell, shell_values)
     _require_hypotheses(
         ("core-mass", core_mass, mass_floor, core_mass < mass_floor),
         ("shell-mass", shell_mass, delta * mass_floor, shell_mass > delta * mass_floor),
@@ -323,9 +380,7 @@ def cutoff_extension_check(
 
     # the cutoff factor is 1 on the core, so F differs from f only on the shell
     factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(shell.rho))
-    shell_extension_energy = _dirichlet(
-        f, shell, f.values[..., shell.rows, :] * factor[:, None]
-    )
+    shell_extension_energy = _dirichlet(f, shell, shell_values * factor[:, None])
     shell_extension_bound = 2.0 * shell_mass + 2.0 * shell_energy
     intermediate_ok = shell_extension_energy <= shell_extension_bound + rtol * np.maximum(
         1.0, shell_extension_bound

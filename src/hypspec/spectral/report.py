@@ -4,9 +4,14 @@ One report gathers, for a single surface: the shortest separating
 system restricted to pants curves (L1), the Cheeger-type lower bound
 min(1/4, L1^2 / (4 vol^2)), the network surrogate's spectral gap, a
 Rayleigh-quotient upper bound from an explicit cut, and the exact
-Dirichlet eigenvalue of each thin collar.  Consistency flags record
-whether the rigorous bounds are ordered and whether the surrogate
-lands between them; the surrogate band is reported, never enforced.
+Dirichlet eigenvalue of each thin collar.  Only the Cheeger value
+bounds the surface gap; the Rayleigh value is an upper bound for the
+network surrogate and a model estimate for the surface (on the chain
+family it sits up to 1.1 % below the Rayleigh quotient of its own
+test function on the surface).
+Consistency flags record whether the Cheeger value lies below the
+Rayleigh value and whether the surrogate lands between them; the
+surrogate band is reported, never enforced.
 
 The scaling study runs the chain family across a genus list at fixed
 core length and emits one CSV row per genus with the normalization
@@ -133,7 +138,9 @@ def assemble_report(
     distinct width, in one batched call; zero-width collars have no
     interior and are skipped.
 
-    Flags: ``cheeger_le_rayleigh`` orders the two rigorous bounds;
+    Flags: ``cheeger_le_rayleigh`` orders the Cheeger lower bound for
+    the surface and the Rayleigh upper bound for the network surrogate
+    (a model estimate for the surface, not a bound on it);
     ``collar_modes_above_quarter`` checks every collar eigenvalue
     exceeds 1/4; ``network_in_sanity_band`` reports (never enforces)
     whether the surrogate lies in [cheeger/2, rayleigh + tol].

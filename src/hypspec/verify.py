@@ -126,7 +126,9 @@ def check_interval_cut(rng: np.random.Generator) -> tuple[int, int]:
 
     A system passes when both the constructive index and an exhaustive
     scan over every index find the inequality satisfied.  The systems
-    are drawn, then reduced, as one stack.
+    are drawn, then reduced, as one stack: one generator call gives
+    every size, then one call per size drawn gives the systems of that
+    size (see :func:`random_interval_systems`).
     """
     stack = random_interval_systems(rng, 500)
     holds = cut_inequality_verdicts(stack)

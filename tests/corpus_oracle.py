@@ -1,10 +1,13 @@
 """One-function-at-a-time oracle for the energy-check corpora.
 
-These are the corpus generators as they were before the library sampled
-each collar shape as one stack: every function is drawn, evaluated on
-its own grid and (for the cutoff corpus) checked against its shell
-budget on its own.  ``hypspec.spectral.corpus`` must reproduce their
-node values, floors and generator state exactly.
+Every function is evaluated on its own grid and (for the cutoff corpus)
+checked against its shell budget on its own.  The crossing oracle takes
+its parameters from the library's whole-array draws, one array per
+parameter for the whole corpus, then builds the functions one by one;
+the cutoff oracle draws each function's four parameters with their own
+``uniform`` calls, as the library did before it drew them as one array.
+``hypspec.spectral.corpus`` must reproduce their node values, floors
+and generator state exactly.
 """
 import math
 
@@ -17,12 +20,9 @@ CROSSING_LENGTHS = (0.05, 0.1, 0.5)
 _MAX_TRIG_DEGREE = 3
 
 
-def _random_trig_polynomial(rng: np.random.Generator, half_width: float):
+def _trig_polynomial(rho_coeffs, freqs, phases, half_width: float):
     """Smooth band-limited f(rho, t): low-degree polynomial in rho times trig in t."""
-    degree = int(rng.integers(1, _MAX_TRIG_DEGREE + 1))
-    rho_coeffs = rng.normal(size=(degree + 1, 3))
-    freqs = rng.integers(0, 3, size=3)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    degree = len(rho_coeffs) - 1
 
     def fn(rho, t):
         total = 0.0
@@ -37,7 +37,16 @@ def _random_trig_polynomial(rng: np.random.Generator, half_width: float):
 
 
 def crossing_corpus(rng: np.random.Generator, count: int):
-    """``count`` single grid functions, function k on shape k % 9."""
+    """``count`` single grid functions, function k on shape k % 9.
+
+    The draws: every degree (uniform on 1..3), every coefficient
+    (N(0, 1), four rows of three per function, rows above the degree
+    unused), every frequency triple, then every phase triple.
+    """
+    degrees = rng.integers(1, _MAX_TRIG_DEGREE + 1, size=count)
+    coeffs = rng.standard_normal((count, _MAX_TRIG_DEGREE + 1, 3))
+    freqs = rng.integers(0, 3, size=(count, 3))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
     shapes = []
     for ell in CROSSING_LENGTHS:
         for w in (1.0, 2.0, max_half_width(ell)):
@@ -45,7 +54,8 @@ def crossing_corpus(rng: np.random.Generator, count: int):
     out = []
     for k in range(count):
         ell, w = shapes[k % len(shapes)]
-        fn = _random_trig_polynomial(rng, w)
+        degree = int(degrees[k])
+        fn = _trig_polynomial(coeffs[k, : degree + 1], freqs[k], phases[k], w)
         out.append(sample_collar_function(ell, w, fn, has_shell=False, n_rho=128, n_t=32))
     return out
 

@@ -4,25 +4,39 @@ The cut reduction and its sums on numpy scalars, one system at a time:
 weights are read element by element from the numpy array and merged
 systems are numpy arrays.  The library, which reduces whole stacks,
 must return the same cut index and the same inequality verdicts.
-``random_interval_system`` draws one system with one generator call per
-part; the library's stacked draw must give the same systems and leave
-the generator in the same state.
+``random_interval_systems`` takes the library's whole-array draws and
+builds each system from its row on its own; the library's stacked draw
+must give the same systems and leave the generator in the same state.
 """
 import numpy as np
 
 from hypspec.intervals import IntervalSystem
 
 
-def random_interval_system(rng, max_intervals=8):
-    """Random chain-ordered system, degenerate and touching cases included."""
-    n = int(rng.integers(2, max_intervals + 1))
-    pts = np.sort(rng.uniform(0.0, 10.0, size=2 * n))
+def random_interval_systems(rng, count, max_intervals=8):
+    """The library's whole-array draws, each system then built on its own.
+
+    One ``integers`` call draws every n; one ``random`` call per size,
+    in increasing order, draws a row for each system of that size.
+    """
+    sizes = rng.integers(2, max_intervals + 1, size=count).tolist()
+    rows = {
+        n: iter(rng.random((sizes.count(n), 4 * n - 1 + 2 * n * n)))
+        for n in sorted(set(sizes))
+    }
+    return [_interval_system(n, next(rows[n])) for n in sizes]
+
+
+def _interval_system(n, u):
+    """Chain-ordered system from one row of uniforms, degenerate and touching cases included."""
+    pts = np.sort(0.0 + (10.0 - 0.0) * u[: 2 * n])
+    coins = u[2 * n : 4 * n - 1]
     for k in range(1, 2 * n):
-        if rng.random() < 0.2:
+        if coins[k - 1] < 0.2:
             pts[k] = pts[k - 1]
     intervals = tuple((float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(n))
-    w = rng.uniform(0.0, 1.0, size=(n, n))
-    w *= rng.random(size=(n, n)) < 0.7
+    w = u[4 * n - 1 : 4 * n - 1 + n * n].reshape(n, n).copy()
+    w *= u[4 * n - 1 + n * n :].reshape(n, n) < 0.7
     w = np.triu(w, 1)
     return IntervalSystem(intervals=intervals, weights=w + w.T)
 

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypspec.collars
@@ -11,6 +15,7 @@ import hypspec.spectral.corpus
 import hypspec.spectral.gridfun
 import hypspec.verify
 from hypspec.spectral.corpus import CROSSING_SHAPES, CUTOFF_SHAPES
+from hypspec.verify import CHECKS
 from hypspec.cli import (
     EXIT_INADMISSIBLE_EPSILON,
     EXIT_INVALID_INPUT,
@@ -326,6 +331,101 @@ def test_verify_computes_energies_per_stack_not_per_function(capsys, monkeypatch
     corpus = [n for key, n in calls.items() if key[0] == "corpus"]
     assert len(corpus) == len(CUTOFF_SHAPES)
     assert max(corpus) <= 2
+
+
+def test_verify_draws_its_corpora_and_interval_systems_as_whole_arrays(capsys, monkeypatch):
+    calls = []
+
+    class RecordingGenerator:
+        def __init__(self, rng, check):
+            self.rng, self.check = rng, check
+
+        def __getattr__(self, method):
+            def call(*args, **kwargs):
+                calls.append((self.check, method, args, kwargs))
+                return getattr(self.rng, method)(*args, **kwargs)
+
+            return call
+
+    checks = {
+        name: (lambda rng, name=name, check=check: check(RecordingGenerator(rng, name)))
+        for name, check in CHECKS
+        if name in ("interval-cut", "crossing-energy", "cutoff-extension")
+    }
+    monkeypatch.setattr(
+        hypspec.verify, "CHECKS", tuple((name, checks.get(name, check)) for name, check in CHECKS)
+    )
+    code, out, _ = run(capsys, "verify", "--seed", "42")
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42
+    by_check = {name: [c[1:] for c in calls if c[0] == name] for name in checks}
+    # every n at once, then one call per interval count 2..8 drawn
+    intervals = by_check["interval-cut"]
+    assert intervals[0] == ("integers", (2, 9), {"size": 500})
+    assert 1 <= len(intervals) - 1 <= 7
+    assert all(
+        method == "random" and len(shape) == 2 and not kwargs
+        for method, (shape,), kwargs in intervals[1:]
+    )
+    assert [method for method, _, _ in by_check["crossing-energy"]] == [
+        "integers",
+        "standard_normal",
+        "integers",
+        "uniform",
+    ]
+    assert by_check["cutoff-extension"] == [("random", ((100, 4),), {})]
+
+
+def test_verify_builds_each_grids_quadrature_once(capsys):
+    quadrature = hypspec.spectral.gridfun._quadrature
+    quadrature.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify", "--seed", "42")
+        assert out == VERIFY_SEED_42
+    # the whole grid of each crossing shape, core and shell of each cutoff shape
+    info = quadrature.cache_info()
+    assert info.misses == info.currsize == len(CROSSING_SHAPES) + 2 * len(CUTOFF_SHAPES)
+    assert info.hits > info.misses
+
+
+def test_energy_and_interval_checks_pass_in_full_on_fifty_seeds():
+    # each seed runs verify's checks in order up to the last of the three,
+    # so every check sees verify's own draws
+    names = [name for name, _ in CHECKS]
+    upto = CHECKS[: names.index("cutoff-extension") + 1]
+    failing = {}
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        results = {name: check(rng) for name, check in upto}
+        for name in ("interval-cut", "crossing-energy", "cutoff-extension"):
+            passed, total = results[name]
+            if passed != total:
+                failing[seed, name] = (passed, total)
+    assert failing == {}
+
+
+def test_a_fresh_verify_never_imports_numpy_ma():
+    # numpy.ma adds 12-20 ms of import to a fresh process; np.unique pulls it in
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['hypspec', 'verify', '--seed', '42']\n"
+        "try:\n"
+        "    runpy.run_module('hypspec.cli', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    print(done.code, 'numpy.ma' in sys.modules)\n"
+    )
+    package_root = str(Path(hypspec.verify.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert done.returncode == 0, done.stderr
+    *printed, last = done.stdout.splitlines()
+    assert "\n".join(printed) + "\n" == VERIFY_SEED_42
+    assert last == "0 False"
 
 
 def test_exit_code_verify_failed(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import gridfun_oracle
 from hypspec.collars import gudermannian
 from hypspec.spectral import (
     CollarGridFunction,
@@ -241,7 +242,7 @@ def test_grid_function_shape_checks():
 # stacks of functions on one grid
 # -------------------------------------------------------------------
 
-def _random_stack(has_shell, count=25, seed=5):
+def _random_stack(has_shell, count=25, seed=5, n_t=16):
     """``count`` smooth random functions on one grid, as one stack."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(count, 4, 1, 1))
@@ -252,7 +253,7 @@ def _random_stack(has_shell, count=25, seed=5):
             2 * np.pi * k * t + a[:, 3]
         )
 
-    return sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=16)
+    return sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=n_t)
 
 
 STACK_GRIDS = pytest.mark.parametrize(
@@ -322,3 +323,103 @@ def test_stack_shape_checks():
     shell = _random_stack(True, count=3)
     with pytest.raises(ValueError):
         cutoff_extension_check(shell, 1.0 / 64.0, np.array([1.0, -1.0, 1.0]))
+
+
+# -------------------------------------------------------------------
+# kernels against the per-call oracle, bit for bit
+# -------------------------------------------------------------------
+
+KERNEL_CASES = pytest.mark.parametrize(
+    "count", [None, 1, 3, 25], ids=["single", "stack1", "stack3", "stack25"]
+)
+# an n_t that is not a power of two catches a 1/dt folded into the weights
+KERNEL_N_T = pytest.mark.parametrize("n_t", [32, 33, 48])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _plateau(has_shell, count, n_t, seed=9):
+    """Plateaus that taper inside the core to a small residual, times a t-wave.
+
+    With floors at the core mass they meet the cutoff hypotheses at
+    delta = 1/64; ``count=None`` gives a single function.
+    """
+    rng = np.random.default_rng(seed)
+    k = 1 if count is None else count
+    taper = rng.uniform(0.3, 0.6, size=(k, 1, 1)) * W
+    residual = rng.uniform(0.0005, 0.001, size=(k, 1, 1))
+    mod = rng.uniform(0.0, 0.2, size=(k, 1, 1))
+    phase = rng.uniform(0.0, 2 * np.pi, size=(k, 1, 1))
+
+    def fn(r, t):
+        s = np.clip((np.abs(r) - taper) / (W - taper), 0.0, 1.0)
+        base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(np.pi * s))
+        # negative for rho < -1/2, so the two walls differ in sign
+        return base * (1.0 + mod * np.cos(2 * np.pi * t + phase)) * np.sign(r + 0.5)
+
+    f = sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=n_t)
+    return f if count is not None else f.with_values(f.values[0])
+
+
+@KERNEL_N_T
+@KERNEL_CASES
+@pytest.mark.parametrize("has_shell", [True, False], ids=["shell-grid", "plain-grid"])
+def test_energies_equal_the_oracle_bit_for_bit(has_shell, count, n_t):
+    smooth = _random_stack(has_shell, count or 1, n_t=n_t)
+    if count is None:
+        smooth = smooth.with_values(smooth.values[0])
+    for f in (smooth, _plateau(has_shell, count, n_t)):
+        for region in ("all", "core", "shell") if has_shell else ("all", "core"):
+            assert _same_bits(l2_norm_sq(f, region), gridfun_oracle.l2_norm_sq(f, region))
+            assert _same_bits(
+                dirichlet_energy(f, region), gridfun_oracle.dirichlet_energy(f, region)
+            ), (region, count, n_t)
+
+
+@KERNEL_N_T
+@KERNEL_CASES
+@pytest.mark.parametrize("has_shell", [True, False], ids=["shell-grid", "plain-grid"])
+def test_crossing_check_equals_the_oracle_bit_for_bit(has_shell, count, n_t):
+    f = _plateau(has_shell, count, n_t)
+    for g in (f, f.with_values(f.values - f.values[..., ::-1, :])):
+        chk = crossing_energy_check(g)
+        want = gridfun_oracle.crossing_energy_check(g)
+        for name, value in want.items():
+            assert _same_bits(getattr(chk, name), value), name
+
+
+@KERNEL_N_T
+@KERNEL_CASES
+def test_cutoff_check_equals_the_oracle_bit_for_bit(count, n_t):
+    delta = 1.0 / 64.0
+    f = _plateau(True, count, n_t)
+    core_mass = gridfun_oracle.l2_norm_sq(f, "core")
+    for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
+        chk = cutoff_extension_check(f, delta, floors)
+        want = gridfun_oracle.cutoff_extension_check(f, delta, floors)
+        assert isinstance(want, dict), want
+        for name, value in want.items():
+            assert _same_bits(getattr(chk, name), value), name
+        assert np.all(chk.passed)
+
+
+@KERNEL_N_T
+@KERNEL_CASES
+def test_cutoff_check_names_the_oracles_first_miss(count, n_t):
+    delta = 1.0 / 64.0
+    f = _plateau(True, count, n_t)
+    floors = gridfun_oracle.l2_norm_sq(f, "core")
+    values = f.values.copy()
+    k = values.shape[:-2]
+    last = tuple(n - 1 for n in k)
+    values[last] = 2.0  # flat into the shell: shell mass
+    if count is not None and count > 1:
+        values[(0,) * len(k)] *= 1 - 1e-6  # core mass, in an earlier function
+    for g, c in ((f.with_values(values), floors), (f, floors * 1.5)):
+        want = gridfun_oracle.cutoff_extension_check(g, delta, c)
+        with pytest.raises(HypothesisNotMet) as err:
+            cutoff_extension_check(g, delta, c)
+        assert ("missed", err.value.which, err.value.index) == want

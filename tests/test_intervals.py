@@ -178,10 +178,12 @@ def test_inequality_verdicts_match_the_numpy_scalar_oracle():
 @pytest.mark.parametrize("max_intervals", [2, 3, 8])
 @pytest.mark.parametrize("seed", range(10))
 def test_stacked_draw_is_the_one_system_stream(seed, max_intervals):
+    # the oracle takes the same whole-array draws, then builds one system at a time
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     stack = random_interval_systems(rng, 40, max_intervals)
-    for c in range(stack.count):
-        expected = interval_oracle.random_interval_system(oracle_rng, max_intervals)
+    oracle = interval_oracle.random_interval_systems(oracle_rng, 40, max_intervals)
+    assert len(oracle) == stack.count
+    for c, expected in enumerate(oracle):
         got = stack.system(c)
         assert got.intervals == expected.intervals
         assert np.array_equal(got.weights, expected.weights)
