@@ -22,6 +22,13 @@ four parameters per function as one ``random((count, 4))`` array,
 which gives the values and generator state of one ``uniform`` call per
 parameter and function.  The node values and the floors are those of
 sampling each function on its own.
+
+A crossing shape's stack is one matrix product: its (k, rows, 3) radial
+polynomials times its (k, 3, n_t) waves, by ``np.matmul``.  So the
+node values are rounded as BLAS rounds that product (it may fuse a
+multiply and an add); each function's nodes are those of its own 2-D
+product ``poly.T @ wave``, and lie within a few units in the last
+place of the term-by-term sum.
 """
 from __future__ import annotations
 
@@ -68,22 +75,18 @@ def crossing_corpus(rng: np.random.Generator, count: int) -> list[CollarGridFunc
 
 def _trig_stack(ell: float, half_width: float, coeffs, freqs, phases) -> CollarGridFunction:
     """One stacked grid function per row of the drawn trig-polynomial parameters."""
-    c = coeffs[:, :, :, None, None]
-    n = freqs[:, :, None, None]
-    phi = phases[:, :, None, None]
 
     def fn(rho, t):
+        # the radial polynomials, built as (k, 3, rows) so each sum runs
+        # along a row of nodes, and read transposed as (k, rows, 3);
         # degrees above a function's own have zero coefficients
-        powers = [(rho / half_width) ** j for j in range(_MAX_TRIG_DEGREE + 1)]
-        total = np.zeros((len(c), rho.size, t.size))
-        term = np.empty_like(total)
-        for m in range(3):
-            poly = sum(c[:, j, m] * powers[j] for j in range(_MAX_TRIG_DEGREE + 1))
-            wave = np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
-            # einsum forms each product exactly (a -0.0 product as +0.0,
-            # which no sum that starts at +0.0 can tell apart)
-            total += np.einsum("kri,kit->krt", poly, wave, out=term)
-        return total
+        x = rho[:, 0] / half_width
+        poly = np.zeros((len(coeffs), 3, rho.size))
+        for j in range(_MAX_TRIG_DEGREE + 1):
+            poly += coeffs[:, j, :, None] * x**j
+        # (k, 3, n_t) waves, one row per term m
+        waves = np.cos(2.0 * math.pi * freqs[:, :, None] * t + phases[:, :, None])
+        return np.matmul(poly.transpose(0, 2, 1), waves)
 
     return _sample(ell, half_width, fn, False, CROSSING_N_RHO, CROSSING_N_T, fresh=True)
 

@@ -18,9 +18,14 @@ the same whichever functions share its stack.  An energy over the
 "core" or the "shell" reads only the node rows of that region; the
 quadrature weights are those of the whole grid restricted to the
 region, so a region's energy equals its share of the whole-grid sum.
-Each grid's nodes, and each region's rows, weights and radial steps,
-are built once per grid and shared, read-only, by every later call on
-that grid; the Dirichlet sum runs in one scratch array per call.
+Each grid's nodes, and each region's rows and weights, are built once
+per grid and shared, read-only, by every later call on that grid.  The
+Dirichlet weights come pre-divided: the radial ones by the squared
+radial step and by n_t, the circular ones multiplied by n_t (1/dt^2
+times dt), so each term of the Dirichlet sum is a difference squared in
+place and one weighted reduction, run in one scratch array per call.
+Folding the steps into the weights moves energies only in their last
+bits against dividing the differences first.
 
 Two inequality checks ride on these quadratures: the crossing-energy
 bound (any function separating the two collar walls by a gap c spends
@@ -170,17 +175,18 @@ class _RegionRows:
     ``rows`` selects the nodes of nonzero trapezoid weight (a slice
     when they form one run, as in the core).  Over those rows,
     ``mass_w`` weighs f^2 (trapezoid weight times the area element
-    l cosh rho) and ``t_w`` the squared circular differences (trapezoid
-    weight over l cosh rho).  ``cell_w`` weighs the radial difference
-    between each pair of consecutive selected rows: the whole-grid
-    weight of the cell that starts at the first row, which is zero
-    where the pair bounds no cell of the region (the shell's two halves
-    meet across the core there).  ``d_rho`` holds that pair's radial
-    step once per t node, since numpy divides by a whole array of the
-    differences' shape faster than by a broadcast column.  Dropping
-    only zero-weight rows keeps every sum of the whole-grid quadrature,
-    term for term and in order.  The arrays are read-only: each grid's
-    quadrature is built once and shared.
+    l cosh rho) and ``t_w`` the squared undivided circular differences
+    (trapezoid weight over l cosh rho, times n_t).  ``cell_w`` weighs
+    the squared undivided radial difference between each pair of
+    consecutive selected rows: the whole-grid weight of the cell that
+    starts at the first row, divided by the pair's squared radial step
+    and by n_t, which is zero where the pair bounds no cell of the
+    region (the shell's two halves meet across the core there).  So the
+    Dirichlet weights already hold every step of the difference
+    quotients and the t quadrature, and no difference is divided.
+    Dropping only zero-weight rows keeps every sum of the whole-grid
+    quadrature, term for term and in order.  The arrays are read-only:
+    each grid's quadrature is built once and shared.
     """
 
     rows: slice | np.ndarray
@@ -188,7 +194,6 @@ class _RegionRows:
     mass_w: np.ndarray
     t_w: np.ndarray
     cell_w: np.ndarray
-    d_rho: np.ndarray
 
 
 def _region_rows(f: CollarGridFunction, region: str) -> _RegionRows:
@@ -223,15 +228,15 @@ def _quadrature(
     rows = slice(first, last + 1) if last - first + 1 == idx.size else idx
     node_w, r_rho = weights[rows], rho[rows]
     cell_w = mask * h * ell * np.cosh(mids)
+    step = np.diff(r_rho)
     out = _RegionRows(
         rows=rows,
         rho=r_rho,
         mass_w=node_w * ell * np.cosh(r_rho),
-        t_w=node_w / (ell * np.cosh(r_rho)),
-        cell_w=cell_w[idx[:-1]],
-        d_rho=np.repeat(np.diff(r_rho)[:, None], n_t, axis=1),
+        t_w=node_w / (ell * np.cosh(r_rho)) * n_t,
+        cell_w=cell_w[idx[:-1]] / (step * step) / n_t,
     )
-    for a in (idx, out.rho, out.mass_w, out.t_w, out.cell_w, out.d_rho):
+    for a in (idx, out.rho, out.mass_w, out.t_w, out.cell_w):
         a.setflags(write=False)
     return out
 
@@ -254,28 +259,26 @@ def _mass(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
 def _dirichlet(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
     """Dirichlet quadrature of the region's node rows ``sub``.
 
-    Both differences are taken, scaled and squared in place in one
-    scratch array of ``sub``'s size, on each function's rows read as one
-    flat run: a radial difference pairs entries one row apart, a
-    circular one neighbours in a row, and only the last one of each row
-    wraps around to the row's start.  The radial differences fill the
-    scratch array's head, one row less per function.
+    Both differences are taken and squared in place in one scratch
+    array of ``sub``'s size, then reduced against the region's
+    pre-divided weights, on each function's rows read as one flat run:
+    a radial difference pairs entries one row apart, a circular one
+    neighbours in a row, and only the last one of each row wraps around
+    to the row's start.  The radial differences fill the scratch
+    array's head, one row less per function.
     """
-    dt = 1.0 / f.t.size
     lead, (m, n) = sub.shape[:-2], sub.shape[-2:]
     flat = sub.reshape(lead + (m * n,))
     scratch = np.empty(sub.size)
     d_rho = scratch[: sub.size // m * (m - 1)].reshape(lead + ((m - 1) * n,))
     np.subtract(flat[..., n:], flat[..., :-n], out=d_rho)
     d_rho = d_rho.reshape(lead + (m - 1, n))
-    d_rho /= r.d_rho
-    e_rho = np.einsum("i,...ij->...", r.cell_w, np.square(d_rho, out=d_rho)) * dt
+    e_rho = np.einsum("i,...ij->...", r.cell_w, np.square(d_rho, out=d_rho))
     d_t = scratch.reshape(lead + (m * n,))
     np.subtract(flat[..., 1:], flat[..., :-1], out=d_t[..., :-1])
     d_t = d_t.reshape(sub.shape)
     np.subtract(sub[..., 0], sub[..., -1], out=d_t[..., -1])
-    d_t /= dt
-    e_t = np.einsum("i,...ij->...", r.t_w, np.square(d_t, out=d_t)) * dt
+    e_t = np.einsum("i,...ij->...", r.t_w, np.square(d_t, out=d_t))
     return e_rho + e_t
 
 

@@ -3,11 +3,19 @@
 Every function is evaluated on its own grid and (for the cutoff corpus)
 checked against its shell budget on its own.  The crossing oracle takes
 its parameters from the library's whole-array draws, one array per
-parameter for the whole corpus, then builds the functions one by one;
-the cutoff oracle draws each function's four parameters with their own
-``uniform`` calls, as the library did before it drew them as one array.
+parameter for the whole corpus, then builds the functions one by one,
+each as the 2-D product ``poly.T @ wave`` of its three radial
+polynomials and its three waves; the cutoff oracle draws each
+function's four parameters with their own ``uniform`` calls, as the
+library did before it drew them as one array.
 ``hypspec.spectral.corpus`` must reproduce their node values, floors
 and generator state exactly.
+
+:func:`three_einsum_crossing_corpus` is the crossing sampler as the
+library had it before it formed each stack with one matrix product:
+three exact ``kri,kit->krt`` products added in turn.  It rounds
+differently (BLAS may fuse a multiply and an add), so it is the drift
+reference, compared within a tolerance.
 """
 import math
 
@@ -17,6 +25,9 @@ from hypspec.collars import max_half_width
 from hypspec.spectral import dirichlet_energy, l2_norm_sq, sample_collar_function
 
 CROSSING_LENGTHS = (0.05, 0.1, 0.5)
+CROSSING_SHAPES = tuple(
+    (ell, w) for ell in CROSSING_LENGTHS for w in (1.0, 2.0, max_half_width(ell))
+)
 _MAX_TRIG_DEGREE = 3
 
 
@@ -25,38 +36,63 @@ def _trig_polynomial(rho_coeffs, freqs, phases, half_width: float):
     degree = len(rho_coeffs) - 1
 
     def fn(rho, t):
-        total = 0.0
-        for m in range(3):
-            poly = sum(
-                rho_coeffs[j, m] * (rho / half_width) ** j for j in range(degree + 1)
-            )
-            total = total + poly * np.cos(2.0 * math.pi * freqs[m] * t + phases[m])
-        return total
+        x = rho[:, 0] / half_width
+        poly = np.stack(
+            [sum(rho_coeffs[j, m] * x**j for j in range(degree + 1)) for m in range(3)]
+        )
+        wave = np.cos(2.0 * math.pi * freqs[:, None] * t + phases[:, None])
+        return poly.T @ wave
 
     return fn
 
 
-def crossing_corpus(rng: np.random.Generator, count: int):
-    """``count`` single grid functions, function k on shape k % 9.
+def _draw_crossing(rng: np.random.Generator, count: int):
+    """The crossing parameters, drawn as the library draws them.
 
-    The draws: every degree (uniform on 1..3), every coefficient
-    (N(0, 1), four rows of three per function, rows above the degree
-    unused), every frequency triple, then every phase triple.
+    Every degree (uniform on 1..3), every coefficient (N(0, 1), four
+    rows of three per function, rows above the degree unused), every
+    frequency triple, then every phase triple.
     """
     degrees = rng.integers(1, _MAX_TRIG_DEGREE + 1, size=count)
     coeffs = rng.standard_normal((count, _MAX_TRIG_DEGREE + 1, 3))
     freqs = rng.integers(0, 3, size=(count, 3))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
-    shapes = []
-    for ell in CROSSING_LENGTHS:
-        for w in (1.0, 2.0, max_half_width(ell)):
-            shapes.append((ell, w))
+    return degrees, coeffs, freqs, phases
+
+
+def crossing_corpus(rng: np.random.Generator, count: int):
+    """``count`` single grid functions, function k on shape k % 9."""
+    degrees, coeffs, freqs, phases = _draw_crossing(rng, count)
     out = []
     for k in range(count):
-        ell, w = shapes[k % len(shapes)]
+        ell, w = CROSSING_SHAPES[k % len(CROSSING_SHAPES)]
         degree = int(degrees[k])
         fn = _trig_polynomial(coeffs[k, : degree + 1], freqs[k], phases[k], w)
         out.append(sample_collar_function(ell, w, fn, has_shell=False, n_rho=128, n_t=32))
+    return out
+
+
+def three_einsum_crossing_corpus(rng: np.random.Generator, count: int):
+    """The crossing corpus summed term by term: one stack of node values per shape."""
+    degrees, coeffs, freqs, phases = _draw_crossing(rng, count)
+    coeffs[np.arange(_MAX_TRIG_DEGREE + 1) > degrees[:, None]] = 0.0
+    out = []
+    step = len(CROSSING_SHAPES)
+    for s, (ell, w) in enumerate(CROSSING_SHAPES[:count]):
+        c = coeffs[s::step, :, :, None, None]
+        n = freqs[s::step, :, None, None]
+        phi = phases[s::step, :, None, None]
+
+        def fn(rho, t, c=c, n=n, phi=phi, w=w):
+            powers = [(rho / w) ** j for j in range(_MAX_TRIG_DEGREE + 1)]
+            total = np.zeros((len(c), rho.size, t.size))
+            for m in range(3):
+                poly = sum(c[:, j, m] * powers[j] for j in range(_MAX_TRIG_DEGREE + 1))
+                wave = np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
+                total += np.einsum("kri,kit->krt", poly, wave)
+            return total
+
+        out.append(sample_collar_function(ell, w, fn, n_rho=128, n_t=32).values)
     return out
 
 

@@ -337,10 +337,11 @@ def test_shell_detour_lengths_rejects_one_negative_rho():
 @pytest.mark.parametrize("seed", [*range(1, 11), 42])
 def test_sampler_matches_one_attempt_at_a_time(seed):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    pairs = sample_shell_detours(rng, 10_000)
+    direct, detour = sample_shell_detours(rng, 10_000)
     expected = reference_sample_shell_detours(reference_rng, 10_000)
-    assert len(pairs) == len(expected) == 10_000
-    direct, detour = np.array(pairs).T
+    assert len(expected) == 10_000
+    for got in (direct, detour):
+        assert got.dtype == np.float64 and got.shape == (10_000,)
     want_direct, want_detour = np.array(expected).T
     assert direct == pytest.approx(want_direct, rel=1e-9)
     assert detour == pytest.approx(want_detour, rel=1e-12)

@@ -68,3 +68,14 @@ def test_small_counts_leave_shapes_out():
     pairs = cutoff_corpus(np.random.default_rng(0), 6)
     assert [f.values.shape[0] for f, _ in pairs] == [2, 2, 1, 1]
     assert crossing_corpus(np.random.default_rng(0), 0) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_crossing_nodes_drift_from_the_three_term_sum_below_1e_14(seed):
+    # one matrix product per stack may fuse multiply-adds; the term-by-term
+    # sum of exact products is the reference
+    stacks = crossing_corpus(np.random.default_rng(seed), 200)
+    reference = corpus_oracle.three_einsum_crossing_corpus(np.random.default_rng(seed), 200)
+    for f, want in zip(stacks, reference, strict=True):
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(f.values - want) <= 1e-14 * scale), (f.ell, f.half_width)

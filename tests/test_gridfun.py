@@ -423,3 +423,63 @@ def test_cutoff_check_names_the_oracles_first_miss(count, n_t):
         with pytest.raises(HypothesisNotMet) as err:
             cutoff_extension_check(g, delta, c)
         assert ("missed", err.value.which, err.value.index) == want
+
+
+# -------------------------------------------------------------------
+# drift from dividing each difference by its step
+# -------------------------------------------------------------------
+
+DRIFT_RTOL = 1e-13
+
+
+def _assert_near(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    if want.dtype == bool:
+        assert np.array_equal(got, want), what
+    else:
+        assert np.all(np.abs(got - want) <= DRIFT_RTOL * np.abs(want)), what
+
+
+@KERNEL_N_T
+@KERNEL_CASES
+def test_pre_divided_weights_drift_from_the_dividing_formula_below_1e_13(count, n_t):
+    # the cases of the four bit-for-bit oracle tests above, against the
+    # formula that divides every difference by its step
+    delta = 1.0 / 64.0
+    for has_shell in (True, False):
+        smooth = _random_stack(has_shell, count or 1, n_t=n_t)
+        if count is None:
+            smooth = smooth.with_values(smooth.values[0])
+        plateau = _plateau(has_shell, count, n_t)
+        for f in (smooth, plateau):
+            for region in ("all", "core", "shell") if has_shell else ("all", "core"):
+                _assert_near(
+                    dirichlet_energy(f, region),
+                    gridfun_oracle.dirichlet_energy(f, region, dividing=True),
+                    (has_shell, region),
+                )
+        for g in (plateau, plateau.with_values(plateau.values - plateau.values[..., ::-1, :])):
+            chk = crossing_energy_check(g)
+            want = gridfun_oracle.crossing_energy_check(g, dividing=True)
+            for name, value in want.items():
+                _assert_near(getattr(chk, name), value, name)
+
+    f = _plateau(True, count, n_t)
+    core_mass = gridfun_oracle.l2_norm_sq(f, "core")
+    for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
+        chk = cutoff_extension_check(f, delta, floors)
+        want = gridfun_oracle.cutoff_extension_check(f, delta, floors, dividing=True)
+        for name, value in want.items():
+            _assert_near(getattr(chk, name), value, name)
+
+    values = f.values.copy()
+    k = values.shape[:-2]
+    values[tuple(n - 1 for n in k)] = 2.0
+    if count is not None and count > 1:
+        values[(0,) * len(k)] *= 1 - 1e-6
+    for g, c in ((f.with_values(values), core_mass), (f, core_mass * 1.5)):
+        want = gridfun_oracle.cutoff_extension_check(g, delta, c, dividing=True)
+        with pytest.raises(HypothesisNotMet) as err:
+            cutoff_extension_check(g, delta, c)
+        assert ("missed", err.value.which, err.value.index) == want
