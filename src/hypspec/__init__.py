@@ -10,13 +10,10 @@ reports and a genus-scaling study.
 """
 from .collars import (
     Collar,
-    FermiPoint,
-    collar_distance,
     collar_volume,
     gudermannian,
     max_half_width,
     modified_half_width,
-    shell_detour_length,
     shell_detour_lengths,
     shell_volume,
 )
@@ -26,12 +23,6 @@ from .cuts import (
     component_count_after_removal,
     make_multicut,
     min_separating_length,
-)
-from .intervals import (
-    IntervalSystem,
-    crossing_weight,
-    find_cut_index,
-    verify_cut_inequality,
 )
 from .surfaces import (
     ChainFamilyParams,
@@ -63,7 +54,6 @@ from .spectral import (
     build_network,
     cheeger_lower_bound,
     collar_conductance,
-    collar_dirichlet_lambda1,
     crossing_energy_check,
     cutoff_extension_check,
     dirichlet_energy,

@@ -10,11 +10,10 @@ outside the collar.  All closed forms below are exercised against an
 independent high-precision oracle in the tests.
 
 Distances between collar points come from one array kernel,
-:func:`shell_detour_lengths` (and the private ``_collar_distances`` it
-calls): it takes broadcastable numpy arrays of Fermi coordinates and
-evaluates them all at once, so a sampler can test thousands of pairs in
-one call.  :func:`collar_distance` and :func:`shell_detour_length` are
-scalar wrappers over the same kernel.  The kernel compares only two
+:func:`collar_distances`, which :func:`shell_detour_lengths` calls: it
+takes broadcastable numpy arrays of Fermi coordinates and evaluates
+them all at once, so a sampler can test thousands of pairs in one call,
+and a single pair is a call on scalars.  The kernel compares only two
 deck translates of the second point, those shifted by floor and ceil of
 the t-difference: the distance grows with the size of the shift, and
 the nearest integer to the t-difference is always one of the two.
@@ -59,14 +58,6 @@ def gudermannian(w: float) -> float:
 
 
 @dataclass(frozen=True)
-class FermiPoint:
-    """Collar point in Fermi coordinates (rho, t), t taken mod 1."""
-
-    rho: float
-    t: float
-
-
-@dataclass(frozen=True)
 class Collar:
     """A collar of half-width ``half_width`` around a core of length ``core_length``."""
 
@@ -97,7 +88,7 @@ class Collar:
 # distances
 # -------------------------------------------------------------------
 
-def _collar_distances(rho1, t1, rho2, t2, length) -> np.ndarray:
+def collar_distances(rho1, t1, rho2, t2, length) -> np.ndarray:
     """Geodesic distances between collar points, element-wise over arrays.
 
     The collar lifts to the upper half-plane with the core on the unit
@@ -127,16 +118,6 @@ def _collar_distances(rho1, t1, rho2, t2, length) -> np.ndarray:
     )
 
 
-def collar_distance(p: FermiPoint, q: FermiPoint, length: float) -> float:
-    """Geodesic distance between two collar points.
-
-    Computed in the half-plane model, minimizing over the deck
-    translations z -> e^{kl} z nearest to the t-difference; the scalar
-    form of the array kernel behind :func:`shell_detour_lengths`.
-    """
-    return float(_collar_distances(p.rho, p.t, q.rho, q.t, length))
-
-
 def shell_detour_lengths(rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.ndarray]:
     """(direct, detour) arrays for same-side shell point pairs.
 
@@ -155,19 +136,9 @@ def shell_detour_lengths(rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.nda
     rho2 = np.asarray(rho2, dtype=float)
     if np.any(rho1 < 0.0) or np.any(rho2 < 0.0):
         raise ValueError("shell points must lie on one side of the core (rho >= 0)")
-    direct = _collar_distances(rho1, t1, rho2, t2, length)
+    direct = collar_distances(rho1, t1, rho2, t2, length)
     dt = np.abs(np.subtract(t1, t2)) % 1.0
     dt = np.minimum(dt, 1.0 - dt)
     detour = dt * length * np.cosh(rho1) + np.abs(rho2 - rho1)
     return direct, detour
 
-
-def shell_detour_length(
-    rho1: float, rho2: float, t1: float, t2: float, length: float
-) -> tuple[float, float]:
-    """(direct, detour) distances between two same-side shell points.
-
-    Scalar form of :func:`shell_detour_lengths`.
-    """
-    direct, detour = shell_detour_lengths(rho1, rho2, t1, t2, length)
-    return float(direct), float(detour)

@@ -8,28 +8,27 @@ dominates  (total gap) * (weight crossing some index K_0):
     sum_{i<j} w_ij dist(I_i, I_j)
         >= (b_n - a_1 - sum_i |I_i|) * sum_{i <= K_0 < j} w_ij.
 
-``find_cut_index`` produces such a K_0 constructively by repeatedly
+``find_cut_indices`` produces such a K_0 constructively by repeatedly
 sliding the leftmost interior interval to whichever neighbor gives the
 smaller functional, merging the touching pair, and recursing; the
 functional never increases along the way, which is what makes the
 final inequality transfer back to the original system.
 
 Every computation runs on an :class:`IntervalStack`: many systems
-padded to one width, drawn and reduced together with numpy.  Each sum
-is taken pair by pair in row order, one numpy operation per pair
-across the whole stack.  The padding is stored as zeros, so a padded
-pair adds a signed zero, which leaves a sum that starts at +0.0
-unchanged: each system gets exactly the float operations, in the same
-order, of reducing it alone.  The single-system functions
-(``find_cut_index``, ``cut_inequality_by_index``, ...) are the stacked
-ones applied to a stack of one.  ``random_interval_systems`` draws a
-whole stack with one generator call for the sizes and one per size
-drawn; each system has the law of drawing it alone.
+padded to one width, drawn and reduced together with numpy; a single
+system is a stack with ``count == 1``.  Each sum is taken pair by pair
+in row order, one numpy operation per pair across the whole stack.
+The padding is stored as zeros, so a padded pair adds a signed zero,
+which leaves a sum that starts at +0.0 unchanged: each system gets
+exactly the float operations, in the same order, of reducing it alone.
+``random_interval_systems`` draws a whole stack with one generator
+call for the sizes and one per size drawn; each system has the law of
+drawing it alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +38,10 @@ class IntervalStack:
     """``count`` interval systems padded to a common width N.
 
     System c has ``n[c]`` intervals ``(a[c, i], b[c, i])``, i < n[c],
-    and weights ``weights[c, :n[c], :n[c]]``.  Construction validates
-    every system by the rules of :class:`IntervalSystem` and stores the
-    padding as zeros.
+    chain-ordered a_1 <= b_1 <= a_2 <= b_2 <= ..., and symmetric
+    nonnegative weights ``weights[c, :n[c], :n[c]]``, of which only the
+    i < j entries matter.  Construction validates every system (see
+    ``_check_systems``) and stores the padding as zeros.
     """
 
     n: np.ndarray
@@ -75,14 +75,6 @@ class IntervalStack:
     def count(self) -> int:
         return len(self.n)
 
-    def system(self, c: int) -> IntervalSystem:
-        """System c on its own."""
-        k = int(self.n[c])
-        return IntervalSystem(
-            intervals=tuple(zip(self.a[c, :k].tolist(), self.b[c, :k].tolist())),
-            weights=self.weights[c, :k, :k].copy(),
-        )
-
 
 def _check_systems(n, a, b, w, live, pair) -> None:
     """The four rules of an interval system, on the live entries of a stack.
@@ -107,40 +99,6 @@ def _check_systems(n, a, b, w, live, pair) -> None:
         raise ValueError("weights must be symmetric")
     if ((w < 0.0) & pair).any():
         raise ValueError("weights must be nonnegative")
-
-
-@dataclass(frozen=True)
-class IntervalSystem:
-    """Ordered intervals with symmetric nonnegative pair weights.
-
-    ``intervals`` is a tuple of (a, b) pairs satisfying the chain
-    a_1 <= b_1 <= a_2 <= b_2 <= ...; ``weights`` is an n x n symmetric
-    array with zero-ignored diagonal, only the i < j entries matter.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-    weights: np.ndarray
-    _stack: IntervalStack = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.intervals)
-        if n < 1:
-            raise ValueError("interval system needs at least one interval")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (n, n):
-            raise ValueError(f"weights must be {n}x{n}, got {w.shape}")
-        ab = np.array(self.intervals, dtype=float).reshape(1, n, 2)
-        stack = IntervalStack(np.array([n]), ab[:, :, 0], ab[:, :, 1], w[None])
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_stack", stack)
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
-
-    def total_gap(self) -> float:
-        """b_n - a_1 minus the total interval length (sum of interior gaps)."""
-        return float(total_gaps(self._stack)[0])
 
 
 # -------------------------------------------------------------------
@@ -188,7 +146,7 @@ def total_gaps(stack: IntervalStack) -> np.ndarray:
 def cut_inequality_verdicts(stack: IntervalStack, *, rtol: float = 1e-12) -> np.ndarray:
     """(count, N - 1) booleans: the cut inequality at K0 = column + 1.
 
-    ``weighted_gap_sum >= total_gap * crossing_weight`` up to ``rtol``;
+    weighted gap sum >= total gap * crossing weight, up to ``rtol``;
     a nonpositive right-hand side makes it vacuous (the ordering
     invariant keeps total_gap >= 0, so this only happens with zero
     crossing weight).  Entries at K0 >= n are False.
@@ -215,7 +173,9 @@ def _collapse_stages(stack: IntervalStack):
     one of the two touching positions.  Both positions are compared
     through the whole functional, not through its closed-form
     difference: the two round differently, and ties must break the same
-    way every time.
+    way every time.  The functional never increases from one stage to
+    the next, which is what lets the inequality lift back; the tests
+    check it on every stage.
     """
     m = stack.n
     width = int(m.max(initial=0))
@@ -270,66 +230,6 @@ def find_cut_indices(stack: IntervalStack) -> np.ndarray:
     return k
 
 
-def _reduction_functionals(system: IntervalSystem) -> list[float]:
-    """Functional value of the original system and of every merged stage.
-
-    The sequence is nonincreasing; the final entry belongs to a
-    two-interval system whose cut inequality is an identity.  The tests
-    check that monotonicity, which :func:`find_cut_index` relies on.
-    Every merged stage is validated as an interval system.
-    """
-    out = [weighted_gap_sum(system)]
-    for _, _, a, b, w, m in _collapse_stages(system._stack):
-        out.append(float(weighted_gap_sums(IntervalStack(m, a, b, w))[0]))
-    return out
-
-
-# -------------------------------------------------------------------
-# single systems: stacks of one
-# -------------------------------------------------------------------
-
-def weighted_gap_sum(system: IntervalSystem) -> float:
-    """sum over i < j of w_ij * (a_j - b_i)."""
-    return float(weighted_gap_sums(system._stack)[0])
-
-
-def _check_cut_index(system: IntervalSystem, cut_index: int) -> None:
-    if not 1 <= cut_index <= system.n - 1:
-        raise ValueError(f"cut index must lie in [1, n-1], got {cut_index}")
-
-
-def crossing_weight(system: IntervalSystem, cut_index: int) -> float:
-    """sum of w_ij over pairs separated by the cut (1-based i <= K0 < j)."""
-    _check_cut_index(system, cut_index)
-    return float(crossing_weights(system._stack)[0, cut_index - 1])
-
-
-def verify_cut_inequality(
-    system: IntervalSystem, cut_index: int, *, rtol: float = 1e-12
-) -> bool:
-    """Check weighted_gap_sum >= total_gap * crossing_weight at K0.
-
-    A nonpositive right-hand side makes the inequality vacuous (the
-    ordering invariant keeps total_gap >= 0, so this only happens with
-    zero crossing weight); vacuous cases return True.
-    """
-    _check_cut_index(system, cut_index)
-    return bool(cut_inequality_verdicts(system._stack, rtol=rtol)[0, cut_index - 1])
-
-
-def cut_inequality_by_index(system: IntervalSystem, *, rtol: float = 1e-12) -> list[bool]:
-    """:func:`verify_cut_inequality` at K0 = 1, ..., n - 1, in that order."""
-    return cut_inequality_verdicts(system._stack, rtol=rtol)[0].tolist()
-
-
-def find_cut_index(system: IntervalSystem) -> int:
-    """Constructive K0 in [1, n-1] satisfying the cut inequality.
-
-    See :func:`find_cut_indices`, which this runs on a stack of one.
-    """
-    return int(find_cut_indices(system._stack)[0])
-
-
 # -------------------------------------------------------------------
 # random systems
 # -------------------------------------------------------------------
@@ -373,10 +273,3 @@ def random_interval_systems(
     pts = np.take_along_axis(pts, np.maximum.accumulate(source, axis=1), axis=1)
     weights = np.triu(weights * (kept < 0.7), 1)
     return IntervalStack(n, pts[:, 0::2], pts[:, 1::2], weights + weights.transpose(0, 2, 1))
-
-
-def random_interval_system(
-    rng: np.random.Generator, max_intervals: int = 8
-) -> IntervalSystem:
-    """One system of :func:`random_interval_systems`."""
-    return random_interval_systems(rng, 1, max_intervals).system(0)

@@ -1,7 +1,6 @@
 """Spectral estimates: collar ODE modes, grid-function energies, network surrogate, reports."""
 from .collar_ode import (
     ExtrapolationWarning,
-    collar_dirichlet_lambda1,
     collar_dirichlet_lambda1_batch,
 )
 from .corpus import crossing_corpus, cutoff_corpus
@@ -38,7 +37,6 @@ from .report import (
 
 __all__ = [
     "ExtrapolationWarning",
-    "collar_dirichlet_lambda1",
     "collar_dirichlet_lambda1_batch",
     "crossing_corpus",
     "cutoff_corpus",

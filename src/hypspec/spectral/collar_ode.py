@@ -101,7 +101,8 @@ def collar_dirichlet_lambda1_batch(half_widths) -> tuple[np.ndarray, np.ndarray]
     Returns ``(values, estimates)``: each value is a Ritz upper bound
     lam_2J and its estimate is lam_J - lam_2J >= 0 (see the module
     docstring).  Widths are solved together, one stack per basis size,
-    and a width's result does not depend on the other widths passed.
+    and a width's result does not depend on the other widths passed:
+    a single width is solved as a batch of one, bit for bit the same.
     """
     widths = np.array(half_widths, dtype=float).reshape(-1)
     bad = widths[~(np.isfinite(widths) & (widths > 0.0))]
@@ -137,18 +138,3 @@ def collar_dirichlet_lambda1_batch(half_widths) -> tuple[np.ndarray, np.ndarray]
             )
     return values, estimates
 
-
-def collar_dirichlet_lambda1(length: float, half_width: float) -> float:
-    """First Dirichlet eigenvalue of the collar of core ``length`` and ``half_width``.
-
-    Only the k = 0 radial mode is solved, and that is exact, not a
-    truncation: the mode-k potential (2 pi k / (l cosh rho))^2 grows
-    pointwise with k, so by the min-max principle the mode eigenvalues
-    are nondecreasing in k and k = 0 attains the minimum.  The value is
-    bit for bit the one :func:`collar_dirichlet_lambda1_batch` gives
-    for this width.
-    """
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError(f"length must be positive and finite, got {length}")
-    values, _ = collar_dirichlet_lambda1_batch([half_width])
-    return float(values[0])

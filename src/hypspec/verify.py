@@ -171,8 +171,8 @@ def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
 def check_collar_ode(rng: np.random.Generator) -> tuple[int, int]:
     """Collar Dirichlet eigenvalue > 1/4 on the 3 x 3 (length, width) grid.
 
-    The nine widths are solved in one batch; each value is the one a
-    single-width solve gives.
+    The nine widths are solved in one batch; a width's value does not
+    depend on the other widths in it.
     """
     widths = [w for ell in (0.05, 0.1, 0.5) for w in (1.0, 2.0, max_half_width(ell))]
     values, _ = collar_dirichlet_lambda1_batch(widths)

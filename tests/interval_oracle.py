@@ -1,16 +1,18 @@
 """One-system oracles for the interval cut reduction and its random draw.
 
-The cut reduction and its sums on numpy scalars, one system at a time:
-weights are read element by element from the numpy array and merged
-systems are numpy arrays.  The library, which reduces whole stacks,
-must return the same cut index and the same inequality verdicts.
-``random_interval_systems`` takes the library's whole-array draws and
-builds each system from its row on its own; the library's stacked draw
-must give the same systems and leave the generator in the same state.
+A system is a plain pair ``(intervals, weights)``: a tuple of (a, b)
+float pairs and an n x n numpy array.  The cut reduction and its sums
+run on numpy scalars, one system at a time: weights are read element
+by element from the numpy array and merged systems are numpy arrays.
+The library, which reduces whole stacks, must return the same cut
+index and the same inequality verdicts.  ``random_interval_systems``
+takes the library's whole-array draws and builds each system from its
+row on its own; the library's stacked draw must give the same systems
+and leave the generator in the same state.
 """
-import numpy as np
+import math
 
-from hypspec.intervals import IntervalSystem
+import numpy as np
 
 
 def random_interval_systems(rng, count, max_intervals=8):
@@ -38,29 +40,33 @@ def _interval_system(n, u):
     w = u[4 * n - 1 : 4 * n - 1 + n * n].reshape(n, n).copy()
     w *= u[4 * n - 1 + n * n :].reshape(n, n) < 0.7
     w = np.triu(w, 1)
-    return IntervalSystem(intervals=intervals, weights=w + w.T)
+    return intervals, w + w.T
 
 
-def weighted_gap_sum(system) -> float:
+def weighted_gap_sum(intervals, weights) -> float:
     """sum over i < j of w_ij * (a_j - b_i)."""
     total = 0.0
-    ints = system.intervals
-    w = system.weights
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            total += w[i, j] * (ints[j][0] - ints[i][1])
+    n = len(intervals)
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += weights[i, j] * (intervals[j][0] - intervals[i][1])
     return total
 
 
-def crossing_weight(system, cut_index: int) -> float:
+def total_gap(intervals) -> float:
+    """b_n - a_1 minus the total interval length."""
+    return intervals[-1][1] - intervals[0][0] - math.fsum(b - a for a, b in intervals)
+
+
+def crossing_weight(intervals, weights, cut_index: int) -> float:
     """sum of w_ij over pairs separated by the cut (1-based i <= K0 < j)."""
-    w = system.weights
-    return float(sum(w[i, j] for i in range(cut_index) for j in range(cut_index, system.n)))
+    n = len(intervals)
+    return float(sum(weights[i, j] for i in range(cut_index) for j in range(cut_index, n)))
 
 
-def verify_cut_inequality(system, cut_index: int, *, rtol: float = 1e-12) -> bool:
-    lhs = weighted_gap_sum(system)
-    rhs = system.total_gap() * crossing_weight(system, cut_index)
+def verify_cut_inequality(intervals, weights, cut_index: int, *, rtol: float = 1e-12) -> bool:
+    lhs = weighted_gap_sum(intervals, weights)
+    rhs = total_gap(intervals) * crossing_weight(intervals, weights, cut_index)
     tol = rtol * max(1.0, abs(lhs), abs(rhs))
     return lhs >= rhs - tol
 
@@ -102,10 +108,10 @@ def _collapse_once(ints, w):
     return merged, wm, "right"
 
 
-def find_cut_index(system) -> int:
+def find_cut_index(intervals, weights) -> int:
     """Constructive K0: collapse the leftmost interior interval, ties to the left."""
-    ints = [tuple(ab) for ab in system.intervals]
-    w = system.weights.copy()
+    ints = [tuple(ab) for ab in intervals]
+    w = weights.copy()
     lift = []
     while len(ints) > 2:
         ints, w, side = _collapse_once(ints, w)

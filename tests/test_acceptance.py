@@ -31,7 +31,7 @@ import pytest
 
 from hypspec.cli import main
 from hypspec.cuts import bers_upper_bound, min_separating_length
-from hypspec.spectral import collar_dirichlet_lambda1, scaling_study
+from hypspec.spectral import collar_dirichlet_lambda1_batch, scaling_study
 from hypspec.surfaces import (
     ChainFamilyParams,
     build_chain_family,
@@ -97,7 +97,7 @@ def test_criterion_4_collar_dirichlet_grid_and_window():
     t0 = time.perf_counter()
     passed, total = check_collar_ode(np.random.default_rng(42))
     grid_ok = passed == total == 9
-    wide = collar_dirichlet_lambda1(0.1, 12.0)
+    wide = collar_dirichlet_lambda1_batch([12.0])[0][0]
     window_ok = 0.25 < wide < 0.251
     elapsed = time.perf_counter() - t0
     ok = grid_ok and window_ok and elapsed < 30.0
@@ -118,7 +118,7 @@ def test_criterion_4_collar_dirichlet_grid_and_window():
 
 def test_criterion_4_companion_window_needs_far_wider_collar():
     # the (0.25, 0.251) window is real, just at w ~ 100 rather than 12
-    val = collar_dirichlet_lambda1(0.1, 100.0)
+    val = collar_dirichlet_lambda1_batch([100.0])[0][0]
     assert 0.25 < val < 0.251
     # and no width w <= 12 can reach it: the floor is monotone in w
     floor_at_12 = 0.25 + (math.pi / 24.0) ** 2

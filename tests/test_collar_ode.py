@@ -25,12 +25,12 @@ from hypspec.collars import max_half_width, modified_half_width
 from hypspec.spectral import (
     ExtrapolationWarning,
     assemble_report,
-    collar_dirichlet_lambda1,
     collar_dirichlet_lambda1_batch,
 )
 from hypspec.surfaces import ChainFamilyParams, build_chain_family
 
-# (length, half_width) -> lambda_1, frozen from the independent solver
+# (length, half_width) -> lambda_1, frozen from the independent solver;
+# the k = 0 solve takes the half-width alone
 FROZEN = {
     (0.05, 1.0): 2.940201109,
     (0.1, 1.0): 2.940201109,
@@ -42,8 +42,9 @@ FROZEN = {
 
 
 def test_frozen_grid_values():
-    for (ell, w), expect in FROZEN.items():
-        assert collar_dirichlet_lambda1(ell, w) == pytest.approx(expect, rel=1e-6)
+    values, _ = collar_dirichlet_lambda1_batch([w for _, w in FROZEN])
+    for value, expect in zip(values, FROZEN.values()):
+        assert value == pytest.approx(expect, rel=1e-6)
 
 
 def test_frozen_values_at_maximal_width():
@@ -53,38 +54,29 @@ def test_frozen_values_at_maximal_width():
         0.1: 0.545795589,
         0.5: 0.989120898,
     }
-    for ell, expect in cases.items():
-        w = max_half_width(ell)
-        assert collar_dirichlet_lambda1(ell, w) == pytest.approx(expect, rel=1e-6)
-
-
-def test_kzero_mode_is_length_independent():
-    # with k = 0 the length drops out of the radial problem entirely,
-    # bit for bit: report caches collar eigenvalues by width alone
-    vals = [collar_dirichlet_lambda1(ell, 1.0) for ell in (0.01, 0.05, 0.1, 0.5, 1.0)]
-    for v in vals[1:]:
-        assert v == vals[0]
+    values, _ = collar_dirichlet_lambda1_batch([max_half_width(ell) for ell in cases])
+    for value, expect in zip(values, cases.values()):
+        assert value == pytest.approx(expect, rel=1e-6)
 
 
 def test_everything_exceeds_one_quarter():
-    for (ell, w) in FROZEN:
-        assert collar_dirichlet_lambda1(ell, w) > 0.25
-    for ell in (0.05, 0.1, 0.5):
-        assert collar_dirichlet_lambda1(ell, max_half_width(ell)) > 0.25
+    widths = [w for _, w in FROZEN] + [max_half_width(ell) for ell in (0.05, 0.1, 0.5)]
+    values, _ = collar_dirichlet_lambda1_batch(widths)
+    assert np.all(values > 0.25)
 
 
 def test_rigorous_lower_bound_quarter_plus_pi_over_2w_sq():
     # lambda >= 1/4 + (pi / 2w)^2 exactly (potential >= 1/4, Dirichlet
     # interval of length 2w); the solver must respect it to tolerance
-    for ell, w in ((0.1, 1.0), (0.1, 2.0), (0.05, 4.0), (0.1, 12.0)):
+    widths = (1.0, 2.0, 4.0, 12.0)
+    values, _ = collar_dirichlet_lambda1_batch(widths)
+    for w, val in zip(widths, values):
         floor = 0.25 + (math.pi / (2.0 * w)) ** 2
-        val = collar_dirichlet_lambda1(ell, w)
         assert val >= floor * (1 - 1e-6)
 
 
 def test_monotone_decreasing_in_width():
-    ell = 0.1
-    vals = [collar_dirichlet_lambda1(ell, w) for w in (0.5, 1.0, 2.0, 3.0, 3.6)]
+    vals, _ = collar_dirichlet_lambda1_batch([0.5, 1.0, 2.0, 3.0, 3.6])
     for a, b in zip(vals, vals[1:]):
         assert b < a
 
@@ -92,7 +84,7 @@ def test_monotone_decreasing_in_width():
 def test_wide_collar_frozen_value():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ExtrapolationWarning)
-        val = collar_dirichlet_lambda1(0.1, 12.0)
+        val = collar_dirichlet_lambda1_batch([12.0])[0][0]
     assert val == pytest.approx(0.2953407709512648, rel=1e-9)
     # and it still clears the rigorous floor 1/4 + (pi/24)^2
     assert val > 0.25 + (math.pi / 24.0) ** 2 - 1e-12
@@ -103,14 +95,14 @@ def test_very_wide_collar_approaches_one_quarter_from_above():
     # the basis is doubled until converged, so no warning fires
     with warnings.catch_warnings():
         warnings.simplefilter("error", ExtrapolationWarning)
-        val = collar_dirichlet_lambda1(0.1, 100.0)
+        val = collar_dirichlet_lambda1_batch([100.0])[0][0]
     assert val == pytest.approx(0.2509311642908836, rel=1e-9)
     assert 0.25 < val < 0.251
 
 
 def test_modified_width_mode_used_by_reports():
     w = modified_half_width(0.09)
-    assert collar_dirichlet_lambda1(0.09, w) == pytest.approx(
+    assert collar_dirichlet_lambda1_batch([w])[0][0] == pytest.approx(
         1.20094353769434, rel=1e-9
     )
 
@@ -122,7 +114,7 @@ def test_radial_modes_increase_with_k():
         assert b > a
     # the k = 1 potential alone dwarfs the k = 0 eigenvalue at small l
     assert vals[1] > vals[0] + (2 * math.pi / (ell * math.cosh(w))) ** 2 * 0.5
-    # collar_dirichlet_lambda1 solves k = 0 only; the discrete modes
+    # collar_dirichlet_lambda1_batch solves k = 0 only; the discrete modes
     # must stay ordered on the oracle's grids, at the report collar and
     # across the verify grid
     cases = [(0.09, modified_half_width(0.09))]
@@ -138,7 +130,7 @@ def test_radial_modes_increase_with_k():
 def test_richardson_is_second_order():
     # error(n) ~ C / n^2: consecutive grid errors shrink by ~4
     ell, w = 0.1, 2.0
-    ref = collar_dirichlet_lambda1(ell, w)
+    ref = collar_dirichlet_lambda1_batch([w])[0][0]
     e1 = abs(radial_mode_lambda1(ell, w, 0, 128) - ref)
     e2 = abs(radial_mode_lambda1(ell, w, 0, 256) - ref)
     assert e1 / e2 == pytest.approx(4.0, abs=0.3)
@@ -146,18 +138,14 @@ def test_richardson_is_second_order():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        collar_dirichlet_lambda1(0.1, 0.0)
+        collar_dirichlet_lambda1_batch([0.0])
     with pytest.raises(ValueError):
-        collar_dirichlet_lambda1(0.1, -1.0)
-    with pytest.raises(ValueError):
-        collar_dirichlet_lambda1(-0.1, 1.0)
+        collar_dirichlet_lambda1_batch([-1.0])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="half_width must be positive and finite"):
-            collar_dirichlet_lambda1(0.1, bad)
+            collar_dirichlet_lambda1_batch([bad])
         with pytest.raises(ValueError, match="half_width must be positive and finite"):
             collar_dirichlet_lambda1_batch([1.0, bad, 2.0])
-        with pytest.raises(ValueError, match="length must be positive and finite"):
-            collar_dirichlet_lambda1(bad, 1.0)
     values, estimates = collar_dirichlet_lambda1_batch([])
     assert values.shape == estimates.shape == (0,)
 
@@ -167,7 +155,7 @@ def test_input_validation():
     [1.0, modified_half_width(0.09), 2.0, max_half_width(0.05), 8.0, 12.0],
 )
 def test_matches_finite_difference_oracle(w):
-    assert collar_dirichlet_lambda1(0.1, w) == pytest.approx(
+    assert collar_dirichlet_lambda1_batch([w])[0][0] == pytest.approx(
         richardson_lambda1(w, 1024), rel=1e-9
     )
 
@@ -176,7 +164,7 @@ def test_matches_finite_difference_oracle(w):
 def test_matches_finite_difference_oracle_on_wide_collars(w):
     # n = 1024 is too coarse here; the fine pair agrees with the Ritz
     # value to about 1e-11
-    assert collar_dirichlet_lambda1(0.1, w) == pytest.approx(
+    assert collar_dirichlet_lambda1_batch([w])[0][0] == pytest.approx(
         richardson_lambda1(w, 8192), rel=1e-9
     )
 
@@ -196,24 +184,18 @@ def test_ritz_values_fall_as_the_basis_grows():
 
 
 def test_batch_equals_scalar_wrapper_bit_for_bit():
+    # each width solved alone, as a batch of one, gets its batch value
     rng = np.random.default_rng(7)
     widths = np.concatenate([rng.uniform(0.3, 9.0, 40), [12.0, 16.0, 30.0]])
     values, estimates = collar_dirichlet_lambda1_batch(widths)
-    assert [collar_dirichlet_lambda1(0.1, w) for w in widths] == values.tolist()
+    assert [collar_dirichlet_lambda1_batch([w])[0][0] for w in widths] == values.tolist()
     for size in (1, 2, 5, 17):
         pick = rng.choice(widths.size, size, replace=False)
         assert collar_dirichlet_lambda1_batch(widths[pick])[0].tolist() == values[pick].tolist()
     assert np.all(estimates <= collar_ode.RITZ_RTOL * values)
 
 
-def test_reports_solve_collars_in_one_batch(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("assemble_report called the scalar collar solve")
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("hypspec"):
-            if getattr(module, "collar_dirichlet_lambda1", None) is collar_dirichlet_lambda1:
-                monkeypatch.setattr(module, "collar_dirichlet_lambda1", refuse)
+def test_reports_solve_collars_in_one_batch():
     report = assemble_report(build_chain_family(ChainFamilyParams(genus=10, core_length=0.09)))
     assert report.collar_modes
     w = modified_half_width(0.09)
@@ -225,7 +207,7 @@ def test_warning_fires_only_at_the_basis_cap(monkeypatch):
     monkeypatch.setattr(collar_ode, "J_MAX", 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ExtrapolationWarning)
-        collar_dirichlet_lambda1(0.1, 2.0)  # resolved at J = 16
+        collar_dirichlet_lambda1_batch([2.0])  # resolved at J = 16
     with pytest.warns(ExtrapolationWarning, match=r"half_width=12\.0 .*error estimate") as caught:
         values, estimates = collar_dirichlet_lambda1_batch([2.0, 12.0])
     assert len(caught) == 1
@@ -233,7 +215,7 @@ def test_warning_fires_only_at_the_basis_cap(monkeypatch):
     assert f"{estimates[1]:.3g}" in str(caught[0].message)
     # the capped value is still an upper bound above the converged one
     monkeypatch.undo()
-    assert values[1] >= collar_dirichlet_lambda1(0.1, 12.0)
+    assert values[1] >= collar_dirichlet_lambda1_batch([12.0])[0][0]
 
 
 def test_a_value_below_the_floor_raises(monkeypatch):
@@ -245,7 +227,7 @@ def test_a_value_below_the_floor_raises(monkeypatch):
 
     monkeypatch.setattr(collar_ode, "_ritz_pair", below_floor)
     with pytest.raises(ArithmeticError, match="below the floor"):
-        collar_dirichlet_lambda1(0.1, 2.0)
+        collar_dirichlet_lambda1_batch([2.0])
 
 
 def test_importing_the_package_does_not_load_scipy_linalg():
@@ -253,8 +235,8 @@ def test_importing_the_package_does_not_load_scipy_linalg():
         "import sys\n"
         "import hypspec, hypspec.cli\n"
         "print('scipy.linalg' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
-        "from hypspec.spectral import collar_dirichlet_lambda1\n"
-        "print(repr(collar_dirichlet_lambda1(0.1, 2.0)))\n"
+        "from hypspec.spectral import collar_dirichlet_lambda1_batch\n"
+        "print(repr(float(collar_dirichlet_lambda1_batch([2.0])[0][0])))\n"
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = hypspec.cli.main(['bounds', '--family', 'chain', '--genus', '6',\n"
@@ -272,5 +254,5 @@ def test_importing_the_package_does_not_load_scipy_linalg():
     assert done.returncode == 0, done.stderr
     imports, value, after = done.stdout.splitlines()
     assert imports == "False False"
-    assert float(value) == collar_dirichlet_lambda1(0.1, 2.0)
+    assert float(value) == collar_dirichlet_lambda1_batch([2.0])[0][0]
     assert after == "0 False"

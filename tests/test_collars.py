@@ -14,13 +14,11 @@ from hypothesis import given, strategies as st
 
 from hypspec.collars import (
     Collar,
-    FermiPoint,
-    collar_distance,
+    collar_distances,
     collar_volume,
     gudermannian,
     max_half_width,
     modified_half_width,
-    shell_detour_length,
     shell_detour_lengths,
     shell_volume,
 )
@@ -104,18 +102,18 @@ def test_uhp_distance_oracle():
 
 def test_collar_distance_same_point_and_symmetry():
     ell = 0.09
-    assert collar_distance(FermiPoint(0.4, 0.1), FermiPoint(0.4, 0.1), ell) == 0.0
-    a, b = FermiPoint(0.3, 0.12), FermiPoint(-0.2, 0.77)
-    assert collar_distance(a, b, ell) == pytest.approx(
-        collar_distance(b, a, ell), rel=1e-10
+    assert collar_distances(0.4, 0.1, 0.4, 0.1, ell) == 0.0
+    a, b = (0.3, 0.12), (-0.2, 0.77)
+    assert collar_distances(*a, *b, ell) == pytest.approx(
+        collar_distances(*b, *a, ell), rel=1e-10
     )
 
 
 def test_collar_distance_uses_the_short_way_around():
     # going forward 0.9 of a turn equals going back 0.1
     ell = 0.09
-    d_fwd = collar_distance(FermiPoint(0.0, 0.0), FermiPoint(0.0, 0.9), ell)
-    d_bwd = collar_distance(FermiPoint(0.0, 0.0), FermiPoint(0.0, 0.1), ell)
+    d_fwd = collar_distances(0.0, 0.0, 0.0, 0.9, ell)
+    d_bwd = collar_distances(0.0, 0.0, 0.0, 0.1, ell)
     assert d_fwd == pytest.approx(d_bwd, rel=1e-10)
     assert d_fwd == pytest.approx(0.1 * ell, rel=1e-10)
 
@@ -129,7 +127,7 @@ def test_same_rho_geodesic_matches_collar_distance():
     # off the core: agrees with the 2-point distance for t <= 1/2,
     # and never exceeds the equidistant-circle arc
     for rho, t in ((0.8, 0.2), (1.4, 0.5), (2.0, 0.37)):
-        chord = collar_distance(FermiPoint(rho, 0.0), FermiPoint(rho, t), ell)
+        chord = collar_distances(rho, 0.0, rho, t, ell)
         val = same_rho_geodesic_length(rho, t, ell)
         assert val == pytest.approx(chord, rel=1e-10)
         assert val <= t * ell * math.cosh(rho) * (1 + 1e-12)
@@ -140,12 +138,12 @@ def test_same_rho_geodesic_matches_collar_distance():
 def test_shell_detour_vs_direct():
     ell = 0.05
     w = max_half_width(ell)
-    direct, detour = shell_detour_length(w - 0.3, w - 0.3 + 0.01, 0.0, 0.001, ell)
+    direct, detour = shell_detour_lengths(w - 0.3, w - 0.3 + 0.01, 0.0, 0.001, ell)
     assert direct > 0
     assert detour >= direct
     assert detour <= 5.0 * direct
     with pytest.raises(ValueError):
-        shell_detour_length(-0.1, 0.5, 0.0, 0.0, ell)
+        shell_detour_lengths(-0.1, 0.5, 0.0, 0.0, ell)
 
 
 def test_collar_rejects_width_beyond_embedding_bound():
@@ -171,11 +169,11 @@ def test_collar_rejects_width_beyond_embedding_bound():
 def test_collar_distance_symmetric_and_nonnegative(ell, rho1, rho2, t1, t2):
     w = max_half_width(ell)
     scale = min(1.0, w)
-    a = FermiPoint(rho1 * scale, t1)
-    b = FermiPoint(rho2 * scale, t2)
-    d = collar_distance(a, b, ell)
+    a = (rho1 * scale, t1)
+    b = (rho2 * scale, t2)
+    d = collar_distances(*a, *b, ell)
     assert d >= 0.0
-    assert collar_distance(b, a, ell) == pytest.approx(d, rel=1e-9, abs=1e-9)
+    assert collar_distances(*b, *a, ell) == pytest.approx(d, rel=1e-9, abs=1e-9)
 
 
 @given(
@@ -187,7 +185,7 @@ def test_detour_never_beats_direct(ell, drho, dt):
     w = max_half_width(ell)
     rho1 = w - 1.0
     rho2 = min(w, rho1 + drho)
-    direct, detour = shell_detour_length(rho1, rho2, 0.0, dt % 1.0, ell)
+    direct, detour = shell_detour_lengths(rho1, rho2, 0.0, dt % 1.0, ell)
     if direct > 0:
         # the computed direct distance d = acosh(1 + d^2/2) overshoots
         # the true value by up to ~eps/d absolute, so a tiny pure-radial
@@ -222,18 +220,18 @@ def same_rho_geodesic_length(rho, t, length):
     return 2.0 * math.asinh(math.sinh(0.5 * t * length) * math.cosh(rho))
 
 
-def reference_collar_distance(p, q, length):
+def reference_collar_distance(rho1, t1, rho2, t2, length):
     """Scalar complex-plane collar distance, over three deck translates."""
 
     def to_uhp(rho, t):
         theta = 2.0 * math.atan(math.exp(-rho))
         return math.exp(length * t) * cmath.exp(1j * theta)
 
-    z1 = to_uhp(p.rho, 0.0)
-    base = q.t - p.t
+    z1 = to_uhp(rho1, 0.0)
+    base = t2 - t1
     best = math.inf
     for k in (math.floor(base), math.ceil(base), round(base)):
-        z2 = to_uhp(q.rho, base - k)
+        z2 = to_uhp(rho2, base - k)
         best = min(best, uhp_distance(z1, z2))
     return best
 
@@ -242,9 +240,7 @@ def reference_shell_detour_length(rho1, rho2, t1, t2, length):
     """Scalar (direct, detour) pair on top of :func:`reference_collar_distance`."""
     if rho1 < 0.0 or rho2 < 0.0:
         raise ValueError("shell points must lie on one side of the core (rho >= 0)")
-    direct = reference_collar_distance(
-        FermiPoint(rho1, t1), FermiPoint(rho2, t2), length
-    )
+    direct = reference_collar_distance(rho1, t1, rho2, t2, length)
     dt = abs(t1 - t2) % 1.0
     dt = min(dt, 1.0 - dt)
     return direct, dt * length * math.cosh(rho1) + abs(rho2 - rho1)
@@ -301,10 +297,10 @@ def test_array_kernel_matches_scalar_reference(ell, pairs, flip):
         want_direct, want_detour = reference_shell_detour_length(r1, r2, s1, s2, ell)
         assert direct[j] == pytest.approx(want_direct, rel=1e-9, abs=1e-12)
         assert detour[j] == pytest.approx(want_detour, rel=1e-12, abs=1e-15)
-        # the scalar wrapper, with the second point on either side of the core
-        p, q = FermiPoint(r1, s1), FermiPoint(-r2 if flip else r2, s2)
-        assert collar_distance(p, q, ell) == pytest.approx(
-            reference_collar_distance(p, q, ell), rel=1e-9, abs=1e-12
+        # the distance kernel, with the second point on either side of the core
+        q = (-r2 if flip else r2, s2)
+        assert collar_distances(r1, s1, *q, ell) == pytest.approx(
+            reference_collar_distance(r1, s1, *q, ell), rel=1e-9, abs=1e-12
         )
 
 
@@ -323,7 +319,7 @@ def test_shell_detour_lengths_broadcasts_scalars_with_arrays():
         wide = np.broadcast_arrays(*args)
         assert direct.shape == detour.shape == wide[0].shape == (4,)
         for j in range(4):
-            want = shell_detour_length(*(float(a[j]) for a in wide))
+            want = tuple(map(float, shell_detour_lengths(*(float(a[j]) for a in wide))))
             assert (direct[j], detour[j]) == pytest.approx(want, rel=1e-12)
 
 
