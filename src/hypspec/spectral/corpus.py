@@ -10,25 +10,29 @@ generators are pure functions of the supplied RNG.
 
 Function k of a corpus lives on shape ``k % len(shapes)``.  Every
 function's parameters are drawn first, as whole arrays over the
-corpus; the functions of each shape are then sampled together as one
-stacked :class:`CollarGridFunction` (values of shape (k, n_rho, n_t)
-for the shape's k functions), and a corpus is the list of its shapes'
-stacks.  The crossing corpus draws four arrays, in this order: every
-degree, every coefficient (four rows per function, those above its
-degree set to zero), every frequency triple, every phase triple; each
-function has the law of drawing it alone, and only which draw lands in
-which function depends on the order.  The cutoff corpus draws its
-four parameters per function as one ``random((count, 4))`` array,
-which gives the values and generator state of one ``uniform`` call per
+corpus; the functions of each shape are then built together as one
+stacked :class:`CollarGridFunction`, held by its factors: a crossing
+stack as its (k, rows, 3) radial polynomials times its (k, 3, n_t)
+waves, a cutoff stack as its (k, rows, 1) profiles times its (k, 1,
+n_t) modulations.  No node grid is formed; the energies reduce on the
+factors.  The crossing corpus returns the list of its shapes' stacks,
+the cutoff corpus the list of its shapes' (stack, floors).
+The crossing corpus draws four arrays, in this order: every degree,
+every coefficient (four rows per function, those above its degree set
+to zero), every frequency triple, every phase triple; each function
+has the law of drawing it alone, and only which draw lands in which
+function depends on the order.  The cutoff corpus draws its four
+parameters per function as one ``random((count, 4))`` array, which
+gives the values and generator state of one ``uniform`` call per
 parameter and function.  The node values and the floors are those of
 sampling each function on its own.
 
-A crossing shape's stack is one matrix product: its (k, rows, 3) radial
-polynomials times its (k, 3, n_t) waves, by ``np.matmul``.  So the
-node values are rounded as BLAS rounds that product (it may fuse a
-multiply and an add); each function's nodes are those of its own 2-D
-product ``poly.T @ wave``, and lie within a few units in the last
-place of the term-by-term sum.
+A stack's node values (``values``) are its factors' ``np.matmul``.  For
+a crossing stack that is rounded as BLAS rounds the product (it may
+fuse a multiply and an add); each function's nodes are those of its
+own 2-D product ``poly.T @ wave``, and lie within a few units in the
+last place of the term-by-term sum.  For a cutoff stack it is the
+exact product of profile and modulation.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ import math
 import numpy as np
 
 from ..collars import max_half_width
-from .gridfun import CollarGridFunction, _sample, dirichlet_energy, l2_norm_sq
+from .gridfun import CollarGridFunction, _grid, dirichlet_energy, l2_norm_sq
 
 CROSSING_LENGTHS = (0.05, 0.1, 0.5)
 CROSSING_SHAPES = tuple(
@@ -75,20 +79,20 @@ def crossing_corpus(rng: np.random.Generator, count: int) -> list[CollarGridFunc
 
 def _trig_stack(ell: float, half_width: float, coeffs, freqs, phases) -> CollarGridFunction:
     """One stacked grid function per row of the drawn trig-polynomial parameters."""
-
-    def fn(rho, t):
-        # the radial polynomials, built as (k, 3, rows) so each sum runs
-        # along a row of nodes, and read transposed as (k, rows, 3);
-        # degrees above a function's own have zero coefficients
-        x = rho[:, 0] / half_width
-        poly = np.zeros((len(coeffs), 3, rho.size))
-        for j in range(_MAX_TRIG_DEGREE + 1):
-            poly += coeffs[:, j, :, None] * x**j
-        # (k, 3, n_t) waves, one row per term m
-        waves = np.cos(2.0 * math.pi * freqs[:, :, None] * t + phases[:, :, None])
-        return np.matmul(poly.transpose(0, 2, 1), waves)
-
-    return _sample(ell, half_width, fn, False, CROSSING_N_RHO, CROSSING_N_T, fresh=True)
+    rho, t = _grid(half_width, False, CROSSING_N_RHO, CROSSING_N_T)
+    # the radial polynomials, built as (k, 3, rows) one term c_j x^j at
+    # a time, so each sum runs along a row of nodes, and handed over
+    # transposed as (k, rows, 3); degrees above a function's own have
+    # zero coefficients.  einsum forms each term without the iteration
+    # buffers of a broadcast multiply
+    x = rho / half_width
+    poly, term = np.zeros((len(coeffs), 3, rho.size)), np.empty((len(coeffs), 3, rho.size))
+    for j in range(_MAX_TRIG_DEGREE + 1):
+        poly += np.einsum("km,i->kmi", coeffs[:, j, :], x**j, out=term)
+    del term
+    # (k, 3, n_t) waves, one row per term m
+    waves = np.cos(2.0 * math.pi * freqs[:, :, None] * t + phases[:, :, None])
+    return CollarGridFunction(ell, half_width, False, rho, t, poly.transpose(0, 2, 1), waves)
 
 
 def _plateau_stack(
@@ -97,17 +101,14 @@ def _plateau_stack(
     """Plateaus 1 with a cosine taper to ``residual`` at the wall, times a t-modulation.
 
     The parameters are arrays of shape (k, 1, 1), one entry per function
-    of the stack.
+    of the stack; the factors are the (k, rows, 1) profiles and the
+    (k, 1, n_t) modulations.
     """
-
-    def fn(rho, t):
-        s = np.clip((np.abs(rho) - taper_start) / (half_width - taper_start), 0.0, 1.0)
-        base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(math.pi * s))
-        wave = 1.0 + modulation * np.cos(2.0 * math.pi * t + phase)
-        # the exact products, faster than a broadcast multiply
-        return np.einsum("kri,kit->krt", base, wave)
-
-    return _sample(ell, half_width, fn, True, CUTOFF_N_RHO, CUTOFF_N_T, fresh=True)
+    rho, t = _grid(half_width, True, CUTOFF_N_RHO, CUTOFF_N_T)
+    s = np.clip((np.abs(rho[:, None]) - taper_start) / (half_width - taper_start), 0.0, 1.0)
+    base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(math.pi * s))
+    wave = 1.0 + modulation * np.cos(2.0 * math.pi * t + phase)
+    return CollarGridFunction(ell, half_width, True, rho, t, base, wave)
 
 
 def _uniform(u, lo: float, hi: float):
@@ -146,15 +147,15 @@ def cutoff_corpus(
     for s, (ell, w) in enumerate(CUTOFF_SHAPES[:count]):
         # (k, 1, 1) columns, one row per function of the shape
         sigma, taper_start, modulation, phase = params[s::step].T[:, :, None, None]
-        stack = f = _plateau_stack(ell, w, taper_start, sigma, modulation, phase)
-        p = np.arange(stack.values.shape[0])
+        f = _plateau_stack(ell, w, taper_start, sigma, modulation, phase)
+        radial, circular = np.empty(f.radial.shape), np.empty(f.circular.shape)
+        p = np.arange(len(radial))
         floors = np.empty(p.size)
         while True:
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
             done = (l2_norm_sq(f, "shell") <= budget) & (dirichlet_energy(f, "shell") <= budget)
-            if f is not stack:
-                stack.values[p[done]] = f.values[done]
+            radial[p[done]], circular[p[done]] = f.radial[done], f.circular[done]
             floors[p[done]] = c[done]
             p = p[~done]
             if p.size == 0:
@@ -162,5 +163,6 @@ def cutoff_corpus(
             sigma[p] *= 0.5
             modulation[p] *= 0.5
             f = _plateau_stack(ell, w, taper_start[p], sigma[p], modulation[p], phase[p])
+        stack = CollarGridFunction(ell, w, True, f.rho, f.t, radial, circular)
         out.append((stack, floors))
     return out

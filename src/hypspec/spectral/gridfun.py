@@ -9,23 +9,42 @@ against the area element l cosh(rho) drho dt, with
 
     |grad f|^2 = (df/drho)^2 + (df/dt)^2 / (l cosh rho)^2.
 
-``values`` holds one function as an (n_rho, n_t) array, or a stack of
-functions on the same grid as an array of shape (..., n_rho, n_t).
-Every energy and check reduces over the last two axes, so it returns
-one number per function of the stack: a scalar for a single function,
-an array of the stack's shape otherwise.  Each function's result is
-the same whichever functions share its stack.  An energy over the
-"core" or the "shell" reads only the node rows of that region; the
-quadrature weights are those of the whole grid restricted to the
-region, so a region's energy equals its share of the whole-grid sum.
-Each grid's nodes, and each region's rows and weights, are built once
-per grid and shared, read-only, by every later call on that grid.  The
-Dirichlet weights come pre-divided: the radial ones by the squared
-radial step and by n_t, the circular ones multiplied by n_t (1/dt^2
-times dt), so each term of the Dirichlet sum is a difference squared in
-place and one weighted reduction, run in one scratch array per call.
-Folding the steps into the weights moves energies only in their last
-bits against dividing the differences first.
+A grid function holds its node values as a radial factor P of shape
+(..., n_rho, r) times a circular factor C of shape (..., r, n_t): a
+separable function of rank r keeps its r radial profiles and r waves.
+A function given by its node values keeps them as P and has no
+circular factor (``circular`` is None, standing for the identity).
+``values`` forms the product on demand, and is P itself when there is
+no circular factor.  A single function has no leading axes; a stack of
+functions on the same grid has them, and every energy and check
+returns one number per function of the stack: a scalar for a single
+function, an array of the stack's shape otherwise.  Each function's
+result is the same whichever functions share its stack.
+
+Every energy is reduced on the factors, in square-root form, without
+forming a node.  With R the triangular factor of a QR of C^T (so R^T R =
+C C^T) and S that of the circular difference D = roll(C, -1) - C, a
+row p of P has |p C|^2 = |p R^T|^2 and |p D|^2 = |p S^T|^2.  So the
+mass is the weighted row sums of squares of P R^T, the radial
+Dirichlet term those of diff(P) R^T, and the circular term those of
+P S^T, each reduced per function by ``einsum``.  The square roots keep
+the conditioning of C: the Gram form P (C C^T) P^T would square it.
+Any matrix M with M M^T = C C^T serves in place of R^T, and for a
+function held by its node values the roots are the identity and the
+cyclic difference matrix themselves: their products with P are exact
+(a row times the identity is the row, times the cyclic difference the
+rounded difference of neighbours), so its sums are the sums over its
+node grid, a constant has zero energy exactly, and no QR is taken.
+
+An energy over the "core" or the "shell" reads only the radial rows of
+that region; the quadrature weights are those of the whole grid
+restricted to the region, so a region's energy equals its share of
+the whole-grid sum.  Each grid's nodes, and each region's rows and
+weights, are built once per grid and shared, read-only, by every
+later call on that grid; each grid function's roots are taken once.
+The weights come pre-divided: the mass weights by n_t, the radial
+Dirichlet weights by the squared radial step and by n_t, the circular
+ones multiplied by n_t (1/dt^2 times dt), so no difference is divided.
 
 Two inequality checks ride on these quadratures: the crossing-energy
 bound (any function separating the two collar walls by a gap c spends
@@ -37,6 +56,7 @@ is not a check failure.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -94,30 +114,83 @@ def _grid(half_width: float, has_shell: bool, n_rho: int, n_t: int):
 
 @dataclass(frozen=True)
 class CollarGridFunction:
-    """Node values of a function, or a stack of them, on a collar (optionally with its shell)."""
+    """A function, or a stack of them, on a collar (optionally with its shell).
+
+    Held as a radial factor ``radial`` of shape (..., n_rho, r) times a
+    circular factor ``circular`` of shape (..., r, n_t); the leading
+    axes of the two broadcast to the stack's shape.  A function given by
+    its node values has them as ``radial`` (r = n_t) and ``circular``
+    None.  The node values are formed on demand as :attr:`values`.  The
+    grid function keeps read-only copies of the factors it is given, so
+    the roots every energy reads are taken once per grid function and
+    no later write to the caller's arrays reaches them.
+    """
 
     ell: float
     half_width: float
     has_shell: bool
     rho: np.ndarray
     t: np.ndarray
-    values: np.ndarray
+    radial: np.ndarray
+    circular: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.values.shape[-2:] != (self.rho.size, self.t.size):
+        if self.ell <= 0.0:
+            raise ValueError(f"ell must be positive, got {self.ell}")
+        # C order, so a stack's radial rows read as one flat run (_radial_diff)
+        for name in ("radial", "circular"):
+            factor = getattr(self, name)
+            if factor is not None:
+                factor = np.array(factor, dtype=float, order="C")
+                factor.setflags(write=False)
+                object.__setattr__(self, name, factor)
+        n_rho, n_t = self.rho.size, self.t.size
+        p = self.radial.shape
+        c = (n_t, n_t) if self.circular is None else self.circular.shape
+        if len(p) < 2 or len(c) < 2 or (p[-2], c[-1], p[-1]) != (n_rho, n_t, c[-2]):
             raise ValueError(
-                f"values must end in {(self.rho.size, self.t.size)}, got {self.values.shape}"
+                f"factors must be (..., {n_rho}, r) and (..., r, {n_t}) or None, "
+                f"got {p} and {None if self.circular is None else c}"
             )
 
+    @property
+    def values(self) -> np.ndarray:
+        """Node values, of shape (..., n_rho, n_t).
+
+        ``np.matmul(radial, circular)``, or ``radial`` itself (read-only)
+        for a function held by its node values.
+        """
+        return self._nodes(self.radial)
+
+    def _nodes(self, radial: np.ndarray) -> np.ndarray:
+        """The node values of these radial rows (``radial`` itself for node values)."""
+        return radial if self.circular is None else np.matmul(radial, self.circular)
+
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        """R^T for the circular factor C (index 0) and its circular difference D (index 1).
+
+        R is the triangular factor of a QR of C^T (or D^T), so R^T R =
+        C C^T and a radial row p has |p C|^2 = |p R^T|^2: the sum over
+        the circle, taken without forming the row's nodes.  Both QRs run
+        as one stacked call, one per function and matrix.  Node values
+        take the identity and the cyclic difference matrix instead.
+        """
+        if self.circular is None:
+            return _node_roots(self.t.size)
+        c = self.circular
+        pair = np.stack((c, np.roll(c, -1, axis=-1) - c))
+        return np.swapaxes(np.linalg.qr(np.swapaxes(pair, -1, -2), mode="r"), -1, -2)
+
+    def with_factors(
+        self, radial: np.ndarray, circular: np.ndarray | None
+    ) -> "CollarGridFunction":
+        """The function(s) with copies of these factors, on the same grid."""
+        return dataclasses.replace(self, radial=radial, circular=circular)
+
     def with_values(self, values: np.ndarray) -> "CollarGridFunction":
-        return CollarGridFunction(
-            ell=self.ell,
-            half_width=self.half_width,
-            has_shell=self.has_shell,
-            rho=self.rho,
-            t=self.t,
-            values=np.asarray(values, dtype=float),
-        )
+        """The function(s) with a copy of these node values, on the same grid."""
+        return self.with_factors(values, None)
 
     def wall_indices(self) -> tuple[int, int]:
         """Row indices of the collar walls rho = -w and rho = +w."""
@@ -139,29 +212,30 @@ def sample_collar_function(
 
     ``fn`` receives ``rho`` as a column and ``t`` as a row; a result
     with leading axes before those two is a stack of functions.  The
-    grid function keeps its own copy of the values; its ``rho`` and
-    ``t`` nodes are read-only and shared by every function sampled on
-    the same grid.
+    grid function keeps its own copy of the values as its radial
+    factor, with no circular factor; its ``rho`` and ``t`` nodes are
+    read-only and shared by every function sampled on the same grid.
     """
-    return _sample(ell, half_width, fn, has_shell, n_rho, n_t, fresh=False)
-
-
-def _sample(ell, half_width, fn, has_shell, n_rho, n_t, *, fresh) -> CollarGridFunction:
-    """Sample ``fn`` on the grid, as :func:`sample_collar_function` does.
-
-    With ``fresh``, ``fn`` promises a new float array of the full grid
-    shape, which the grid function then keeps without a copy.
-    """
-    if ell <= 0.0:
-        raise ValueError(f"ell must be positive, got {ell}")
     rho, t = _grid(half_width, has_shell, n_rho, n_t)
-    vals = fn(rho[:, None], t[None, :])
-    if not fresh:
-        vals = np.asarray(vals, dtype=float)
-        vals = np.broadcast_to(vals, vals.shape[:-2] + (rho.size, t.size)).copy()
+    vals = np.asarray(fn(rho[:, None], t[None, :]), dtype=float)
+    vals = np.broadcast_to(vals, vals.shape[:-2] + (rho.size, t.size))
     return CollarGridFunction(
-        ell=ell, half_width=half_width, has_shell=has_shell, rho=rho, t=t, values=vals
+        ell=ell, half_width=half_width, has_shell=has_shell, rho=rho, t=t, radial=vals
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _node_roots(n_t: int) -> np.ndarray:
+    """The identity and the cyclic difference matrix: the roots of node values.
+
+    Each is a root of its own Gram matrix, and its product with a row
+    of node values is exact: the row, and the rounded differences of
+    neighbours ``roll(row, -1) - row``.  Read-only, shared per n_t.
+    """
+    eye = np.eye(n_t)
+    roots = np.stack((eye, np.roll(eye, -1, axis=-1) - eye))
+    roots.setflags(write=False)
+    return roots
 
 
 # -------------------------------------------------------------------
@@ -175,18 +249,18 @@ class _RegionRows:
     ``rows`` selects the nodes of nonzero trapezoid weight (a slice
     when they form one run, as in the core).  Over those rows,
     ``mass_w`` weighs f^2 (trapezoid weight times the area element
-    l cosh rho) and ``t_w`` the squared undivided circular differences
-    (trapezoid weight over l cosh rho, times n_t).  ``cell_w`` weighs
-    the squared undivided radial difference between each pair of
-    consecutive selected rows: the whole-grid weight of the cell that
-    starts at the first row, divided by the pair's squared radial step
-    and by n_t, which is zero where the pair bounds no cell of the
-    region (the shell's two halves meet across the core there).  So the
-    Dirichlet weights already hold every step of the difference
-    quotients and the t quadrature, and no difference is divided.
-    Dropping only zero-weight rows keeps every sum of the whole-grid
-    quadrature, term for term and in order.  The arrays are read-only:
-    each grid's quadrature is built once and shared.
+    l cosh rho, over n_t) and ``t_w`` the squared undivided circular
+    differences (trapezoid weight over l cosh rho, times n_t).
+    ``cell_w`` weighs the squared undivided radial difference between
+    each pair of consecutive selected rows: the whole-grid weight of the
+    cell that starts at the first row, divided by the pair's squared
+    radial step and by n_t, which is zero where the pair bounds no cell
+    of the region (the shell's two halves meet across the core there).
+    So the weights already hold every step of the difference quotients
+    and the t quadrature, and no difference is divided.  Dropping only
+    zero-weight rows keeps every term of the whole-grid quadrature.  The
+    arrays are read-only: each grid's quadrature is built once and
+    shared.
     """
 
     rows: slice | np.ndarray
@@ -232,7 +306,7 @@ def _quadrature(
     out = _RegionRows(
         rows=rows,
         rho=r_rho,
-        mass_w=node_w * ell * np.cosh(r_rho),
+        mass_w=node_w * ell * np.cosh(r_rho) / n_t,
         t_w=node_w / (ell * np.cosh(r_rho)) * n_t,
         cell_w=cell_w[idx[:-1]] / (step * step) / n_t,
     )
@@ -248,44 +322,53 @@ def _quadrature(
 def l2_norm_sq(f: CollarGridFunction, region: str = "all") -> float | np.ndarray:
     """Integral of f^2 against the area element over the region."""
     r = _region_rows(f, region)
-    return _mass(f, r, f.values[..., r.rows, :])
+    return _mass(r, f.radial[..., r.rows, :], f._roots[0])
 
 
-def _mass(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
-    """L2 quadrature of the region's node rows ``sub``."""
-    return np.einsum("i,...ij->...", r.mass_w, sub**2) * (1.0 / f.t.size)
+def _sum_sq(weights: np.ndarray, rows: np.ndarray):
+    """Each function's weighted sum of its rows' squares; ``rows`` is a fresh array."""
+    return np.einsum("i,...ij->...", weights, np.square(rows, out=rows))
 
 
-def _dirichlet(f: CollarGridFunction, r: _RegionRows, sub: np.ndarray):
-    """Dirichlet quadrature of the region's node rows ``sub``.
+def _mass(r: _RegionRows, sub: np.ndarray, c_root: np.ndarray):
+    """L2 quadrature of the region's radial rows ``sub``."""
+    return _sum_sq(r.mass_w, np.matmul(sub, c_root))
 
-    Both differences are taken and squared in place in one scratch
-    array of ``sub``'s size, then reduced against the region's
-    pre-divided weights, on each function's rows read as one flat run:
-    a radial difference pairs entries one row apart, a circular one
-    neighbours in a row, and only the last one of each row wraps around
-    to the row's start.  The radial differences fill the scratch
-    array's head, one row less per function.
+
+def _radial_diff(sub: np.ndarray) -> np.ndarray:
+    """``np.diff(sub, axis=-2)``, taken as one flat subtraction.
+
+    The rows of the whole stack are read as one run, each function's
+    after the last's, so a row pairs with the next one r entries on; the
+    differences that pair a function's last row with the next
+    function's first are dropped.  A flat subtraction needs none of the
+    buffers numpy allocates for a strided one.
     """
-    lead, (m, n) = sub.shape[:-2], sub.shape[-2:]
-    flat = sub.reshape(lead + (m * n,))
-    scratch = np.empty(sub.size)
-    d_rho = scratch[: sub.size // m * (m - 1)].reshape(lead + ((m - 1) * n,))
-    np.subtract(flat[..., n:], flat[..., :-n], out=d_rho)
-    d_rho = d_rho.reshape(lead + (m - 1, n))
-    e_rho = np.einsum("i,...ij->...", r.cell_w, np.square(d_rho, out=d_rho))
-    d_t = scratch.reshape(lead + (m * n,))
-    np.subtract(flat[..., 1:], flat[..., :-1], out=d_t[..., :-1])
-    d_t = d_t.reshape(sub.shape)
-    np.subtract(sub[..., 0], sub[..., -1], out=d_t[..., -1])
-    e_t = np.einsum("i,...ij->...", r.t_w, np.square(d_t, out=d_t))
-    return e_rho + e_t
+    sub = np.ascontiguousarray(sub)
+    flat, r = sub.reshape(-1), sub.shape[-1]
+    n = flat.size - r
+    out = np.empty(sub.shape)
+    np.subtract(flat[r:], flat[:n], out=out.reshape(-1)[:n])
+    return out[..., :-1, :]
+
+
+def _dirichlet(r: _RegionRows, sub: np.ndarray, roots: np.ndarray):
+    """Dirichlet quadrature of the region's radial rows ``sub``.
+
+    A radial difference of the nodes is the difference of two radial
+    rows times the circular factor, and a circular difference is the
+    radial row times the circular difference of the circular factor;
+    each is summed over the circle through the matching root.
+    """
+    c_root, d_root = roots
+    e_rho = _sum_sq(r.cell_w, np.matmul(_radial_diff(sub), c_root))
+    return e_rho + _sum_sq(r.t_w, np.matmul(sub, d_root))
 
 
 def dirichlet_energy(f: CollarGridFunction, region: str = "all") -> float | np.ndarray:
     """Quadrature of |grad f|^2 over the region (second order in both steps)."""
     r = _region_rows(f, region)
-    return _dirichlet(f, r, f.values[..., r.rows, :])
+    return _dirichlet(r, f.radial[..., r.rows, :], f._roots)
 
 
 # -------------------------------------------------------------------
@@ -310,9 +393,8 @@ def crossing_energy_check(f: CollarGridFunction, *, rtol: float = 1e-9) -> Cross
     pi/(4 gd(w)) > 1, so honest quadrature passes with margin; rtol
     only absorbs roundoff.
     """
-    i_lo, i_hi = f.wall_indices()
-    gaps = np.abs(f.values[..., i_hi, :] - f.values[..., i_lo, :])
-    c = gaps.min(axis=-1)
+    walls = f._nodes(f.radial[..., list(f.wall_indices()), :])
+    c = np.abs(walls[..., 1, :] - walls[..., 0, :]).min(axis=-1)
     energy = dirichlet_energy(f, region="core" if f.has_shell else "all")
     bound = c * c * f.ell / 4.0
     passed = energy >= bound - rtol * np.maximum(1.0, bound)
@@ -370,11 +452,11 @@ def cutoff_extension_check(
     mass_floor = np.asarray(mass_floor, dtype=float)
     if (mass_floor <= 0.0).any():
         raise ValueError(f"mass_floor must be positive, got {mass_floor}")
-    shell = _region_rows(f, "shell")
-    shell_values = f.values[..., shell.rows, :]
+    roots, shell = f._roots, _region_rows(f, "shell")
+    shell_radial = f.radial[..., shell.rows, :]
     core_mass = l2_norm_sq(f, "core")
-    shell_mass = _mass(f, shell, shell_values)
-    shell_energy = _dirichlet(f, shell, shell_values)
+    shell_mass = _mass(shell, shell_radial, roots[0])
+    shell_energy = _dirichlet(shell, shell_radial, roots)
     _require_hypotheses(
         ("core-mass", core_mass, mass_floor, core_mass < mass_floor),
         ("shell-mass", shell_mass, delta * mass_floor, shell_mass > delta * mass_floor),
@@ -383,7 +465,7 @@ def cutoff_extension_check(
 
     # the cutoff factor is 1 on the core, so F differs from f only on the shell
     factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(shell.rho))
-    shell_extension_energy = _dirichlet(f, shell, shell_values * factor[:, None])
+    shell_extension_energy = _dirichlet(shell, shell_radial * factor[:, None], roots)
     shell_extension_bound = 2.0 * shell_mass + 2.0 * shell_energy
     intermediate_ok = shell_extension_energy <= shell_extension_bound + rtol * np.maximum(
         1.0, shell_extension_bound

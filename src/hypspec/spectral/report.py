@@ -142,8 +142,12 @@ def assemble_report(
     the surface and the Rayleigh upper bound for the network surrogate
     (a model estimate for the surface, not a bound on it);
     ``collar_modes_above_quarter`` checks every collar eigenvalue
-    exceeds 1/4; ``network_in_sanity_band`` reports (never enforces)
-    whether the surrogate lies in [cheeger/2, rayleigh + tol].
+    exceeds 1/4, but the eigenvalues are Ritz upper bounds, so the flag
+    proves nothing on its own; the proof is the floor 1/4 + (pi / 2w)^2,
+    which :func:`collar_dirichlet_lambda1_batch` enforces on every value
+    (a value more than 1e-9 relative below it raises);
+    ``network_in_sanity_band`` reports (never enforces) whether the
+    surrogate lies in [cheeger/2, rayleigh + tol].
     """
     ttd = decompose(surface, epsilon, force=force)
     cut = min_separating_length(surface, 1)

@@ -7,7 +7,9 @@ parameter for the whole corpus, then builds the functions one by one,
 each as the 2-D product ``poly.T @ wave`` of its three radial
 polynomials and its three waves; the cutoff oracle draws each
 function's four parameters with their own ``uniform`` calls, as the
-library did before it drew them as one array.
+library did before it drew them as one array, and holds each function
+as its radial profile times its circular wave, so that its floor (the
+core mass) is measured in the arithmetic of the library's factors.
 ``hypspec.spectral.corpus`` must reproduce their node values, floors
 and generator state exactly.
 
@@ -109,7 +111,12 @@ def _plateau_profile(half_width: float, taper_start: float, residual: float):
 
 
 def cutoff_corpus(rng: np.random.Generator, count: int, *, delta=1.0 / 64.0):
-    """``count`` pairs (f, c) of single grid functions, function k on shape k % 4."""
+    """``count`` pairs (f, c) of single grid functions, function k on shape k % 4.
+
+    Each f is held as its (rows, 1) profile times its (1, n_t) wave, as
+    the library holds its stacks, so its floor c is measured in the same
+    arithmetic.
+    """
     shapes = [(0.05, 2.0), (0.1, 2.0), (0.1, 3.0), (0.5, 1.5)]
     out = []
     for k in range(count):
@@ -118,13 +125,13 @@ def cutoff_corpus(rng: np.random.Generator, count: int, *, delta=1.0 / 64.0):
         taper_start = float(rng.uniform(0.3, 0.6)) * w
         modulation = float(rng.uniform(0.0, 0.2))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        grid = sample_collar_function(
+            ell, w, lambda r, t: 0 * r * t, has_shell=True, n_rho=192, n_t=32
+        )
         while True:
             base = _plateau_profile(w, taper_start, sigma)
-
-            def fn(rho, t, base=base, modulation=modulation, phase=phase):
-                return base(rho) * (1.0 + modulation * np.cos(2.0 * math.pi * t + phase))
-
-            f = sample_collar_function(ell, w, fn, has_shell=True, n_rho=192, n_t=32)
+            wave = 1.0 + modulation * np.cos(2.0 * math.pi * grid.t + phase)
+            f = grid.with_factors(base(grid.rho)[:, None], wave[None, :])
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
             if l2_norm_sq(f, "shell") <= budget and dirichlet_energy(f, "shell") <= budget:

@@ -1,19 +1,37 @@
 """Per-call oracle for the grid-function energy kernels and checks.
 
-Every call rebuilds its region's rows and weights from the grid nodes,
-takes the radial differences with ``np.diff`` and the circular ones
-with ``np.roll``, and gathers the shell rows anew for each sum.  Its
-Dirichlet weights come pre-divided, as the library's do: the radial
-cell weights by the squared radial step and by n_t, the circular
-weights multiplied by n_t.  ``hypspec.spectral.gridfun`` must reproduce
-every value bit for bit, signed zeros included.
+Every call rebuilds its region's rows and weights from the grid nodes
+and takes each function of a stack on its own, as 2-D arrays: with P
+its radial factor and C its circular factor, it takes R from a QR of
+C^T and S from a QR of D^T, D = roll(C, -1) - C the circular
+difference, and sums the weighted squares of P R^T (mass), of
+diff(P) R^T (radial Dirichlet term) and of P S^T (circular Dirichlet
+term), against weights that hold the radial steps, dt and 1/n_t.  A
+function held by its node values (no circular factor) is summed on its
+node grid instead: its rows as they are, its circular differences by
+``np.roll``.  The crossing gap is read off the node values ``f.values``.
+``hypspec.spectral.gridfun`` must reproduce every value of this
+``formula="factored"`` bit for bit.
 
-``dividing=True`` runs the Dirichlet sum as the library did before it
-pre-divided its weights: each difference divided by its step, squared,
-weighted and the sum multiplied by dt.  That formula is the drift
-reference; it rounds differently, so it is compared within a tolerance,
-not bit for bit.
+Two other formulas round differently and serve as drift references,
+compared within a tolerance:
+
+- ``formula="dividing"`` takes the same Dirichlet sums but divides
+  each difference by its step and multiplies each sum by dt, against
+  weights that hold no step: the formula before the weights were
+  pre-divided.  Its mass is the ``"factored"`` one.
+- ``formula="grid"`` sums on the node values, with the radial
+  differences taken by ``np.diff`` and the circular ones by
+  ``np.roll``, against the pre-divided weights: the formula before the
+  sums were taken on the factors.
+
+:func:`longdouble_dirichlet` evaluates the same quadrature with every
+node, difference and sum in ``np.longdouble``, from the same factors and
+weights: the accuracy reference.
 """
+import collections
+import functools
+
 import numpy as np
 
 
@@ -34,10 +52,14 @@ def _node_weights(f, mask):
     return w
 
 
+Rows = collections.namedtuple("Rows", "rows rho node_w cell mass_w t_w cell_w")
+
+
 def region_rows(f, region):
-    """(rows, rho, node_w, cell_w) of the region's quadrature."""
+    """The region's rows, nodes, node and cell weights, and the pre-divided weights."""
     if region == "shell" and not f.has_shell:
         raise ValueError("grid function has no shell")
+    n_t = f.t.size
     mask = _cell_mask(f, region)
     weights = _node_weights(f, mask)
     idx = np.flatnonzero(weights)
@@ -45,67 +67,140 @@ def region_rows(f, region):
     rows = slice(first, last + 1) if last - first + 1 == idx.size else idx
     mids = 0.5 * (f.rho[:-1] + f.rho[1:])
     cell_w = mask * np.diff(f.rho) * f.ell * np.cosh(mids)
-    return rows, f.rho[rows], weights[rows], cell_w[idx[:-1]]
-
-
-def l2_norm_sq(f, region="all"):
-    rows, rho, node_w, _ = region_rows(f, region)
-    dt = 1.0 / f.t.size
-    row = node_w * f.ell * np.cosh(rho)
-    return np.einsum("i,...ij->...", row, f.values[..., rows, :] ** 2) * dt
-
-
-def dirichlet(f, r, sub, dividing=False):
-    """Dirichlet quadrature of the node rows ``sub`` of the region ``r``."""
-    if dividing:
-        return _dividing_dirichlet(f, r, sub)
-    _, rho, node_w, cell_w = r
-    n_t = f.t.size
+    rho, node_w = f.rho[rows], weights[rows]
     step = np.diff(rho)
-    d_rho = np.diff(sub, axis=-2)
-    e_rho = np.einsum(
-        "i,...ij->...", cell_w / (step * step) / n_t, np.square(d_rho, out=d_rho)
+    return Rows(
+        rows,
+        rho,
+        node_w,
+        cell_w[idx[:-1]],
+        node_w * f.ell * np.cosh(rho) / n_t,
+        node_w / (f.ell * np.cosh(rho)) * n_t,
+        cell_w[idx[:-1]] / (step * step) / n_t,
     )
-    d_t = np.roll(sub, -1, axis=-1)
-    d_t -= sub
-    e_t = np.einsum(
-        "i,...ij->...", node_w / (f.ell * np.cosh(rho)) * n_t, np.square(d_t, out=d_t)
-    )
-    return e_rho + e_t
 
 
-def _dividing_dirichlet(f, r, sub):
-    """The Dirichlet sum with every difference divided by its step."""
-    _, rho, node_w, cell_w = r
+def _per_function(f, radial, one):
+    """``one(P, circle)`` of every function of the stack, P its rows of ``radial``.
+
+    ``circle(rows, m)`` maps radial rows to rows whose squares sum, over
+    each row, to those of the rows' nodes (m = 0) or of their circular
+    differences (m = 1).
+    """
+    c_all = f.circular
+    shape = np.broadcast_shapes(radial.shape[:-2], () if c_all is None else c_all.shape[:-2])
+    p = np.broadcast_to(radial, shape + radial.shape[-2:])
+    out = np.empty(shape)
+    for index in np.ndindex(shape):
+        if c_all is None:
+            circle = _node_circle
+        else:
+            c = np.broadcast_to(c_all, shape + c_all.shape[-2:])[index]
+            circle = functools.partial(_times, (_root(c), _root(np.roll(c, -1, axis=-1) - c)))
+        out[index] = one(p[index], circle)
+    return out[()]
+
+
+def _root(c):
+    return np.linalg.qr(c.T, mode="r").T
+
+
+def _times(roots, rows, m):
+    return rows @ roots[m]
+
+
+def _node_circle(rows, m):
+    return rows if m == 0 else np.roll(rows, -1, axis=-1) - rows
+
+
+def _sum_sq(w, rows):
+    return np.einsum("i,ij->", w, rows**2)
+
+
+def _nodes(f, radial):
+    return radial if f.circular is None else np.matmul(radial, f.circular)
+
+
+def mass(f, r, radial, formula="factored"):
+    """L2 quadrature of the region ``r`` for the functions of radial rows ``radial``."""
+    if formula == "grid":
+        return np.einsum(
+            "i,...ij->...", r.node_w * f.ell * np.cosh(r.rho), _nodes(f, radial) ** 2
+        ) * (1.0 / f.t.size)
+    return _per_function(f, radial, lambda p, circle: _sum_sq(r.mass_w, circle(p, 0)))
+
+
+def dirichlet(f, r, radial, formula="factored"):
+    """Dirichlet quadrature of the region ``r`` for the radial rows ``radial``."""
+    if formula == "grid":
+        values = _nodes(f, radial)
+        d_t = np.roll(values, -1, axis=-1)
+        d_t -= values
+        return np.einsum("i,...ij->...", r.cell_w, np.diff(values, axis=-2) ** 2) + np.einsum(
+            "i,...ij->...", r.t_w, d_t**2
+        )
     dt = 1.0 / f.t.size
-    d_rho = np.diff(sub, axis=-2)
-    d_rho /= np.diff(rho)[:, None]
-    e_rho = np.einsum("i,...ij->...", cell_w, np.square(d_rho, out=d_rho)) * dt
-    d_t = np.roll(sub, -1, axis=-1)
-    d_t -= sub
-    d_t /= dt
-    e_t = np.einsum(
-        "i,...ij->...", node_w / (f.ell * np.cosh(rho)), np.square(d_t, out=d_t)
-    ) * dt
-    return e_rho + e_t
+
+    def one(p, circle):
+        d_rho = np.diff(p, axis=0)
+        if formula == "dividing":
+            d_rho /= np.diff(r.rho)[:, None]
+            e_rho = _sum_sq(r.cell, circle(d_rho, 0)) * dt
+            return e_rho + _sum_sq(r.node_w / (f.ell * np.cosh(r.rho)), circle(p, 1) / dt) * dt
+        return _sum_sq(r.cell_w, circle(d_rho, 0)) + _sum_sq(r.t_w, circle(p, 1))
+
+    return _per_function(f, radial, one)
 
 
-def dirichlet_energy(f, region="all", dividing=False):
+def l2_norm_sq(f, region="all", formula="factored"):
     r = region_rows(f, region)
-    return dirichlet(f, r, f.values[..., r[0], :], dividing)
+    return mass(f, r, f.radial[..., r.rows, :], formula)
 
 
-def crossing_energy_check(f, rtol=1e-9, dividing=False):
+def dirichlet_energy(f, region="all", formula="factored"):
+    r = region_rows(f, region)
+    return dirichlet(f, r, f.radial[..., r.rows, :], formula)
+
+
+def longdouble_dirichlet(f, region="all"):
+    """The Dirichlet quadrature of the region in ``np.longdouble``, from the factors."""
+    r = region_rows(f, region)
+    ld = np.longdouble
+    radial = f.radial[..., r.rows, :].astype(ld)
+    values = radial if f.circular is None else np.matmul(radial, f.circular.astype(ld))
+    d_rho = np.diff(values, axis=-2)
+    d_t = np.roll(values, -1, axis=-1) - values
+    return np.einsum("i,...ij->...", r.cell_w.astype(ld), d_rho**2) + np.einsum(
+        "i,...ij->...", r.t_w.astype(ld), d_t**2
+    )
+
+
+def crossing_energy_check(f, rtol=1e-9, formula="factored"):
     """Every field of the crossing check, as a dict."""
     i_lo, i_hi = f.wall_indices()
-    c = np.abs(f.values[..., i_hi, :] - f.values[..., i_lo, :]).min(axis=-1)
-    energy = dirichlet_energy(f, "core" if f.has_shell else "all", dividing)
+    values = f.values
+    c = np.abs(values[..., i_hi, :] - values[..., i_lo, :]).min(axis=-1)
+    energy = dirichlet_energy(f, "core" if f.has_shell else "all", formula)
     bound = c * c * f.ell / 4.0
     passed = energy >= bound - rtol * np.maximum(1.0, bound)
     return {"crossing_gap": c, "energy": energy, "bound": bound, "passed": passed}
 
 
-def cutoff_extension_check(f, delta, mass_floor, rtol=1e-9, dividing=False):
+def cutoff_measures(f, formula="factored"):
+    """The five quadratures of the cutoff check, by name."""
+    shell = region_rows(f, "shell")
+    shell_radial = f.radial[..., shell.rows, :]
+    factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(shell.rho))[:, None]
+    return {
+        "core_mass": l2_norm_sq(f, "core", formula),
+        "shell_mass": mass(f, shell, shell_radial, formula),
+        "shell_energy": dirichlet(f, shell, shell_radial, formula),
+        "shell_extension_energy": dirichlet(f, shell, shell_radial * factor, formula),
+        "core_energy": dirichlet_energy(f, "core", formula),
+    }
+
+
+def cutoff_extension_check(f, delta, mass_floor, rtol=1e-9, formula="factored"):
     """Every field of the cutoff check as a dict, or the first miss.
 
     A function that misses a hypothesis gives ``("missed", name, index)``
@@ -114,36 +209,27 @@ def cutoff_extension_check(f, delta, mass_floor, rtol=1e-9, dividing=False):
     energy.
     """
     mass_floor = np.asarray(mass_floor, dtype=float)
-    shell = region_rows(f, "shell")
-    core_mass = l2_norm_sq(f, "core")
-    shell_mass = l2_norm_sq(f, "shell")
-    shell_energy = dirichlet(f, shell, f.values[..., shell[0], :], dividing)
-    floor = np.broadcast_to(mass_floor, np.shape(core_mass))
+    m = cutoff_measures(f, formula)
+    floor = np.broadcast_to(mass_floor, np.shape(m["core_mass"]))
     missed = (
-        ("core-mass", core_mass < floor),
-        ("shell-mass", shell_mass > delta * floor),
-        ("shell-energy", shell_energy > delta * floor),
+        ("core-mass", m["core_mass"] < floor),
+        ("shell-mass", m["shell_mass"] > delta * floor),
+        ("shell-energy", m["shell_energy"] > delta * floor),
     )
-    for index in np.ndindex(np.shape(core_mass)):
+    for index in np.ndindex(floor.shape):
         for name, miss in missed:
             if miss[index]:
                 return ("missed", name, index)
-    factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(shell[1]))
-    extension = dirichlet(f, shell, f.values[..., shell[0], :] * factor[:, None], dividing)
-    extension_bound = 2.0 * shell_mass + 2.0 * shell_energy
-    core_energy = dirichlet_energy(f, "core", dividing)
+    extension = m["shell_extension_energy"]
+    extension_bound = 2.0 * m["shell_mass"] + 2.0 * m["shell_energy"]
     final_bound = (1.0 - 16.0 * delta) * mass_floor / 4.0
     return {
         "delta": delta,
         "mass_floor": mass_floor,
-        "core_mass": core_mass,
-        "shell_mass": shell_mass,
-        "shell_energy": shell_energy,
-        "core_energy": core_energy,
+        **m,
         "final_bound": final_bound,
-        "shell_extension_energy": extension,
         "shell_extension_bound": extension_bound,
         "intermediate_ok": extension
         <= extension_bound + rtol * np.maximum(1.0, extension_bound),
-        "final_ok": core_energy >= final_bound - rtol * np.maximum(1.0, final_bound),
+        "final_ok": m["core_energy"] >= final_bound - rtol * np.maximum(1.0, final_bound),
     }

@@ -6,6 +6,7 @@ scheme is validated end to end, including its second-order rate.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypspec.spectral import (
     l2_norm_sq,
     sample_collar_function,
 )
+from hypspec.verify import check_crossing_energy, check_cutoff_extension
 
 ELL = 0.1
 W = 2.0
@@ -91,6 +93,44 @@ def test_constant_has_zero_energy_and_area_mass():
     f = sample_collar_function(ELL, W, lambda r, t: 1.0 + 0 * r * t)
     assert dirichlet_energy(f) == 0.0
     assert l2_norm_sq(f) == pytest.approx(2.0 * ELL * math.sinh(W), rel=1e-3)
+    # held as one radial profile times one wave, too
+    ones = f.with_factors(np.ones((f.rho.size, 1)), np.ones((1, f.t.size)))
+    assert dirichlet_energy(ones) == 0.0
+    assert l2_norm_sq(ones) == pytest.approx(l2_norm_sq(f), rel=1e-15)
+
+
+def test_node_values_come_back_bit_for_bit():
+    f = sample_collar_function(ELL, W, lambda r, t: np.sin(7 * r) * np.cos(2 * np.pi * t))
+    values = f.values.copy()
+    values[0, :4] = (-0.0, np.inf, -np.inf, 5e-324)
+    values[1, 0] = np.nan
+    g = f.with_values(values)
+    assert g.values.tobytes() == values.tobytes()
+    assert g.circular is None
+    assert sample_collar_function(ELL, W, lambda r, t: values).values.tobytes() == (
+        values.tobytes()
+    )
+
+
+def test_grid_functions_keep_read_only_copies_of_their_factors():
+    f = _factored_stack(True, 3, count=4)
+    poly = f.radial.copy()
+    base = np.empty((poly.shape[0], 3, poly.shape[1]))
+    base.transpose(0, 2, 1)[...] = poly
+    waves = f.circular.copy()
+    g = f.with_factors(base.transpose(0, 2, 1), waves[:, :, :])
+    energy, mass = dirichlet_energy(g, "shell"), l2_norm_sq(g, "shell")
+    # writes to the caller's arrays, views of them included, reach no
+    # factor and no root taken from one
+    assert base.flags.writeable and waves.flags.writeable
+    base *= 2.0
+    waves[:, 0] = 0.0
+    assert dirichlet_energy(g, "shell").tobytes() == energy.tobytes()
+    assert l2_norm_sq(g, "shell").tobytes() == mass.tobytes()
+    assert g.values.tobytes() == f.values.tobytes()
+    for factor in (g.radial, g.circular, g.with_values(f.values).radial):
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0] = 1.0
 
 
 def test_regions_partition_the_collar():
@@ -256,6 +296,34 @@ def _random_stack(has_shell, count=25, seed=5, n_t=16):
     return sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=n_t)
 
 
+def _factored_stack(has_shell, rank, count=25, seed=5, n_t=16):
+    """``count`` random separable functions of rank ``rank`` on one grid, as one stack.
+
+    Function k is the sum over m < rank of a quadratic in rho times
+    cos(2 pi n_m t + phi_m): radial factor (count, n_rho, rank), circular
+    factor (count, rank, n_t).
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 1, 3, rank))
+    n = rng.integers(0, 3, size=(count, rank, 1))
+    phase = rng.uniform(0.0, 2 * np.pi, size=(count, rank, 1))
+    grid = sample_collar_function(
+        ELL, W, lambda r, t: 0 * r * t, has_shell=has_shell, n_rho=96, n_t=n_t
+    )
+    r = grid.rho[:, None]
+    radial = a[:, :, 0] + a[:, :, 1] * r + a[:, :, 2] * r**2
+    return grid.with_factors(radial, np.cos(2 * np.pi * n * grid.t + phase))
+
+
+def _take(f, index):
+    """The functions ``index`` of the stack ``f`` (a circular factor without stack axes,
+    or none, is shared)."""
+    circular = f.circular
+    if circular is not None and circular.ndim > 2:
+        circular = circular[index]
+    return f.with_factors(f.radial[index], circular)
+
+
 STACK_GRIDS = pytest.mark.parametrize(
     "has_shell, regions",
     [(True, ("all", "core", "shell")), (False, ("all", "core"))],
@@ -278,39 +346,58 @@ def test_stacked_energies_equal_one_function_calls(has_shell, regions):
 
 @STACK_GRIDS
 def test_energies_do_not_depend_on_the_stack(has_shell, regions):
-    stack = _random_stack(has_shell)
-    for region in regions:
-        for energy in (l2_norm_sq, dirichlet_energy):
-            stacked = energy(stack, region)
-            reversed_ = energy(stack.with_values(stack.values[::-1]), region)
-            for k in range(25):
-                alone = energy(stack.with_values(stack.values[k : k + 1]), region)
-                assert alone.shape == (1,)
-                assert alone[0] == stacked[k] == reversed_[24 - k]
-    chk = crossing_energy_check(stack)
-    for k in (0, 7, 24):
-        one = crossing_energy_check(stack.with_values(stack.values[k : k + 1]))
-        assert one.energy[0] == chk.energy[k]
-        assert one.crossing_gap[0] == chk.crossing_gap[k]
-        assert one.passed[0] == chk.passed[k]
+    # node values (the identity as circular factor), and factored stacks
+    # of rank 1 and 3: every reduction runs per function
+    for stack in (
+        _random_stack(has_shell),
+        _factored_stack(has_shell, 1),
+        _factored_stack(has_shell, 3),
+    ):
+        for region in regions:
+            for energy in (l2_norm_sq, dirichlet_energy):
+                stacked = energy(stack, region)
+                reversed_ = energy(_take(stack, slice(None, None, -1)), region)
+                for k in range(25):
+                    alone = energy(_take(stack, slice(k, k + 1)), region)
+                    assert alone.shape == (1,)
+                    assert alone[0] == stacked[k] == reversed_[24 - k]
+                    assert energy(_take(stack, k), region) == stacked[k]
+        chk = crossing_energy_check(stack)
+        for k in (0, 7, 24):
+            one = crossing_energy_check(_take(stack, slice(k, k + 1)))
+            assert one.energy[0] == chk.energy[k]
+            assert one.crossing_gap[0] == chk.crossing_gap[k]
+            assert one.passed[0] == chk.passed[k]
+
+
+def test_cutoff_floors_are_the_checks_own_core_masses():
+    # the corpus measures each floor on the stack of its last halving
+    # round; the check measures the core mass again on the whole stack,
+    # and must get the floor back bit for bit
+    for seed in (0, 3, 41):
+        for f, floors in cutoff_corpus(np.random.default_rng(seed), 100):
+            chk = cutoff_extension_check(f, 1.0 / 64.0, floors)
+            assert chk.core_mass.tobytes() == floors.tobytes(), (seed, f.ell, f.half_width)
 
 
 def test_cutoff_check_on_a_stack_names_the_first_violating_function():
     delta = 1.0 / 64.0
     f, floors = cutoff_corpus(np.random.default_rng(3), 40, delta=delta)[1]
     assert cutoff_extension_check(f, delta, floors).passed.all()
-    values = f.values.copy()
-    values[3] = 2.0  # flat into the shell: breaks the shell-mass budget only
-    values[6] *= 1e-3  # breaks the core-mass floor
+    # the functions are edited through their factors, so the others keep
+    # the arithmetic their floors were measured in
+    radial, circular = f.radial.copy(), f.circular.copy()
+    radial[3], circular[3] = 2.0, 1.0  # flat into the shell: breaks the shell-mass budget only
+    radial[6] *= 1e-3  # breaks the core-mass floor
     with pytest.raises(HypothesisNotMet) as err:
-        cutoff_extension_check(f.with_values(values), delta, floors)
+        cutoff_extension_check(f.with_factors(radial, circular), delta, floors)
     assert (err.value.which, err.value.index) == ("shell-mass", (3,))
     assert err.value.bound == delta * floors[3]
     assert "function (3,)" in str(err.value)
 
-    values[1] *= 1e-3
+    radial[1] *= 1e-3
     with pytest.raises(HypothesisNotMet) as err:
-        cutoff_extension_check(f.with_values(values), delta, floors)
+        cutoff_extension_check(f.with_factors(radial, circular), delta, floors)
     assert (err.value.which, err.value.index) == ("core-mass", (1,))
     assert err.value.bound == floors[1]
 
@@ -341,11 +428,13 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _plateau(has_shell, count, n_t, seed=9):
+def _plateau(has_shell, count, n_t, seed=9, factored=False):
     """Plateaus that taper inside the core to a small residual, times a t-wave.
 
     With floors at the core mass they meet the cutoff hypotheses at
-    delta = 1/64; ``count=None`` gives a single function.
+    delta = 1/64; ``count=None`` gives a single function.  Held as node
+    values, or with ``factored`` as the (k, n_rho, 1) profiles times the
+    (k, 1, n_t) waves.
     """
     rng = np.random.default_rng(seed)
     k = 1 if count is None else count
@@ -354,24 +443,56 @@ def _plateau(has_shell, count, n_t, seed=9):
     mod = rng.uniform(0.0, 0.2, size=(k, 1, 1))
     phase = rng.uniform(0.0, 2 * np.pi, size=(k, 1, 1))
 
-    def fn(r, t):
+    def radial(r):
         s = np.clip((np.abs(r) - taper) / (W - taper), 0.0, 1.0)
         base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(np.pi * s))
         # negative for rho < -1/2, so the two walls differ in sign
-        return base * (1.0 + mod * np.cos(2 * np.pi * t + phase)) * np.sign(r + 0.5)
+        return base * np.sign(r + 0.5)
 
-    f = sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=n_t)
-    return f if count is not None else f.with_values(f.values[0])
+    def circular(t):
+        return 1.0 + mod * np.cos(2 * np.pi * t + phase)
+
+    f = sample_collar_function(
+        ELL, W, lambda r, t: radial(r) * circular(t), has_shell=has_shell, n_rho=96, n_t=n_t
+    )
+    if factored:
+        f = f.with_factors(radial(f.rho[:, None]), circular(f.t))
+    return f if count is not None else _take(f, 0)
+
+
+def _kernel_cases(has_shell, count, n_t):
+    """Node-valued and factored (rank 3 and rank 1) cases, stacked or single."""
+    k = count or 1
+    stacks = (
+        _random_stack(has_shell, k, n_t=n_t),
+        _factored_stack(has_shell, 3, k, n_t=n_t),
+        _plateau(has_shell, k, n_t),
+        _plateau(has_shell, k, n_t, factored=True),
+    )
+    return [f if count is not None else _take(f, 0) for f in stacks]
+
+
+def _odd(f):
+    """f(rho, t) - f(-rho, t), whose walls differ for every t."""
+    return f.with_factors(f.radial - f.radial[..., ::-1, :], f.circular)
+
+
+def _broken(f):
+    """f with its last function flat into the shell (shell mass), and in a
+    stack of several its first function's core mass just under its floor."""
+    radial = f.radial.copy()
+    k = radial.shape[:-2]
+    radial[tuple(n - 1 for n in k)] = 2.0
+    if k and k[0] > 1:
+        radial[(0,) * len(k)] *= 1 - 1e-6
+    return f.with_factors(radial, f.circular)
 
 
 @KERNEL_N_T
 @KERNEL_CASES
 @pytest.mark.parametrize("has_shell", [True, False], ids=["shell-grid", "plain-grid"])
 def test_energies_equal_the_oracle_bit_for_bit(has_shell, count, n_t):
-    smooth = _random_stack(has_shell, count or 1, n_t=n_t)
-    if count is None:
-        smooth = smooth.with_values(smooth.values[0])
-    for f in (smooth, _plateau(has_shell, count, n_t)):
+    for f in _kernel_cases(has_shell, count, n_t):
         for region in ("all", "core", "shell") if has_shell else ("all", "core"):
             assert _same_bits(l2_norm_sq(f, region), gridfun_oracle.l2_norm_sq(f, region))
             assert _same_bits(
@@ -383,103 +504,159 @@ def test_energies_equal_the_oracle_bit_for_bit(has_shell, count, n_t):
 @KERNEL_CASES
 @pytest.mark.parametrize("has_shell", [True, False], ids=["shell-grid", "plain-grid"])
 def test_crossing_check_equals_the_oracle_bit_for_bit(has_shell, count, n_t):
-    f = _plateau(has_shell, count, n_t)
-    for g in (f, f.with_values(f.values - f.values[..., ::-1, :])):
-        chk = crossing_energy_check(g)
-        want = gridfun_oracle.crossing_energy_check(g)
-        for name, value in want.items():
-            assert _same_bits(getattr(chk, name), value), name
+    for f in _kernel_cases(has_shell, count, n_t):
+        for g in (f, _odd(f)):
+            chk = crossing_energy_check(g)
+            want = gridfun_oracle.crossing_energy_check(g)
+            for name, value in want.items():
+                assert _same_bits(getattr(chk, name), value), name
 
 
 @KERNEL_N_T
 @KERNEL_CASES
 def test_cutoff_check_equals_the_oracle_bit_for_bit(count, n_t):
     delta = 1.0 / 64.0
-    f = _plateau(True, count, n_t)
-    core_mass = gridfun_oracle.l2_norm_sq(f, "core")
-    for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
-        chk = cutoff_extension_check(f, delta, floors)
-        want = gridfun_oracle.cutoff_extension_check(f, delta, floors)
-        assert isinstance(want, dict), want
-        for name, value in want.items():
-            assert _same_bits(getattr(chk, name), value), name
-        assert np.all(chk.passed)
+    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
+        core_mass = gridfun_oracle.l2_norm_sq(f, "core")
+        for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
+            chk = cutoff_extension_check(f, delta, floors)
+            want = gridfun_oracle.cutoff_extension_check(f, delta, floors)
+            assert isinstance(want, dict), want
+            for name, value in want.items():
+                assert _same_bits(getattr(chk, name), value), name
+            assert np.all(chk.passed)
 
 
 @KERNEL_N_T
 @KERNEL_CASES
 def test_cutoff_check_names_the_oracles_first_miss(count, n_t):
     delta = 1.0 / 64.0
-    f = _plateau(True, count, n_t)
-    floors = gridfun_oracle.l2_norm_sq(f, "core")
-    values = f.values.copy()
-    k = values.shape[:-2]
-    last = tuple(n - 1 for n in k)
-    values[last] = 2.0  # flat into the shell: shell mass
-    if count is not None and count > 1:
-        values[(0,) * len(k)] *= 1 - 1e-6  # core mass, in an earlier function
-    for g, c in ((f.with_values(values), floors), (f, floors * 1.5)):
-        want = gridfun_oracle.cutoff_extension_check(g, delta, c)
-        with pytest.raises(HypothesisNotMet) as err:
-            cutoff_extension_check(g, delta, c)
-        assert ("missed", err.value.which, err.value.index) == want
+    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
+        floors = gridfun_oracle.l2_norm_sq(f, "core")
+        for g, c in ((_broken(f), floors), (f, floors * 1.5)):
+            want = gridfun_oracle.cutoff_extension_check(g, delta, c)
+            with pytest.raises(HypothesisNotMet) as err:
+                cutoff_extension_check(g, delta, c)
+            assert ("missed", err.value.which, err.value.index) == want
 
 
 # -------------------------------------------------------------------
-# drift from dividing each difference by its step
+# drift from the earlier formulas, and accuracy
 # -------------------------------------------------------------------
 
 DRIFT_RTOL = 1e-13
 
 
-def _assert_near(got, want, what):
+def _assert_near(got, want, what, rtol=DRIFT_RTOL):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape, what
     if want.dtype == bool:
         assert np.array_equal(got, want), what
     else:
-        assert np.all(np.abs(got - want) <= DRIFT_RTOL * np.abs(want)), what
+        assert np.all(np.abs(got - want) <= rtol * np.abs(want)), what
 
 
 @KERNEL_N_T
 @KERNEL_CASES
 def test_pre_divided_weights_drift_from_the_dividing_formula_below_1e_13(count, n_t):
     # the cases of the four bit-for-bit oracle tests above, against the
-    # formula that divides every difference by its step
+    # same factored sums with every difference divided by its step
     delta = 1.0 / 64.0
     for has_shell in (True, False):
-        smooth = _random_stack(has_shell, count or 1, n_t=n_t)
-        if count is None:
-            smooth = smooth.with_values(smooth.values[0])
-        plateau = _plateau(has_shell, count, n_t)
-        for f in (smooth, plateau):
+        for f in _kernel_cases(has_shell, count, n_t):
             for region in ("all", "core", "shell") if has_shell else ("all", "core"):
                 _assert_near(
                     dirichlet_energy(f, region),
-                    gridfun_oracle.dirichlet_energy(f, region, dividing=True),
+                    gridfun_oracle.dirichlet_energy(f, region, formula="dividing"),
                     (has_shell, region),
                 )
-        for g in (plateau, plateau.with_values(plateau.values - plateau.values[..., ::-1, :])):
-            chk = crossing_energy_check(g)
-            want = gridfun_oracle.crossing_energy_check(g, dividing=True)
+            for g in (f, _odd(f)):
+                chk = crossing_energy_check(g)
+                want = gridfun_oracle.crossing_energy_check(g, formula="dividing")
+                for name, value in want.items():
+                    _assert_near(getattr(chk, name), value, name)
+
+    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
+        core_mass = gridfun_oracle.l2_norm_sq(f, "core")
+        for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
+            chk = cutoff_extension_check(f, delta, floors)
+            want = gridfun_oracle.cutoff_extension_check(f, delta, floors, formula="dividing")
+            assert isinstance(want, dict), want
             for name, value in want.items():
                 _assert_near(getattr(chk, name), value, name)
+        for g, c in ((_broken(f), core_mass), (f, core_mass * 1.5)):
+            want = gridfun_oracle.cutoff_extension_check(g, delta, c, formula="dividing")
+            with pytest.raises(HypothesisNotMet) as err:
+                cutoff_extension_check(g, delta, c)
+            assert ("missed", err.value.which, err.value.index) == want
 
-    f = _plateau(True, count, n_t)
-    core_mass = gridfun_oracle.l2_norm_sq(f, "core")
-    for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
-        chk = cutoff_extension_check(f, delta, floors)
-        want = gridfun_oracle.cutoff_extension_check(f, delta, floors, dividing=True)
+
+# The factored sums against the node-value formula they replace, which
+# differences the grid of node values.  Over the verify corpora of seeds
+# 0-320 the largest drift is 1.18e-13 on crossing energies (seed 163) and
+# 4.16e-12 on cutoff fields (a shell energy at seed 41).  At the cutoff
+# case the node values lose the shell's small circular differences to
+# rounding and the factored value is the accurate one; at the crossing
+# case both lie within 1e-13 of long double (the test after next).
+CROSSING_GRID_DRIFT = 1.5e-13
+CUTOFF_GRID_DRIFT = 5e-12
+
+
+@KERNEL_N_T
+@KERNEL_CASES
+def test_factored_sums_drift_from_the_grid_formula_within_stated_bounds(count, n_t):
+    for has_shell in (True, False):
+        for f in _kernel_cases(has_shell, count, n_t):
+            for g in (f, _odd(f)):
+                chk = crossing_energy_check(g)
+                want = gridfun_oracle.crossing_energy_check(g, formula="grid")
+                for name, value in want.items():
+                    _assert_near(getattr(chk, name), value, name, CROSSING_GRID_DRIFT)
+    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
+        chk = cutoff_extension_check(f, 1.0 / 64.0, gridfun_oracle.l2_norm_sq(f, "core"))
+        for name, value in gridfun_oracle.cutoff_measures(f, formula="grid").items():
+            _assert_near(getattr(chk, name), value, name, CUTOFF_GRID_DRIFT)
+
+
+def test_corpus_energies_drift_from_the_grid_formula_within_stated_bounds():
+    # the seeds of the largest drift found on verify's corpora
+    for f in crossing_corpus(np.random.default_rng(163), 200):
+        chk = crossing_energy_check(f)
+        want = gridfun_oracle.crossing_energy_check(f, formula="grid")
         for name, value in want.items():
-            _assert_near(getattr(chk, name), value, name)
+            _assert_near(getattr(chk, name), value, name, CROSSING_GRID_DRIFT)
+    for f, floors in cutoff_corpus(np.random.default_rng(41), 100):
+        chk = cutoff_extension_check(f, 1.0 / 64.0, floors)
+        for name, value in gridfun_oracle.cutoff_measures(f, formula="grid").items():
+            _assert_near(getattr(chk, name), value, name, CUTOFF_GRID_DRIFT)
 
-    values = f.values.copy()
-    k = values.shape[:-2]
-    values[tuple(n - 1 for n in k)] = 2.0
-    if count is not None and count > 1:
-        values[(0,) * len(k)] *= 1 - 1e-6
-    for g, c in ((f.with_values(values), core_mass), (f, core_mass * 1.5)):
-        want = gridfun_oracle.cutoff_extension_check(g, delta, c, dividing=True)
-        with pytest.raises(HypothesisNotMet) as err:
-            cutoff_extension_check(g, delta, c)
-        assert ("missed", err.value.which, err.value.index) == want
+
+def test_worst_corpus_energies_are_within_1e_13_of_long_double():
+    # crossing: all three frequencies 0, so the three terms cancel along
+    # each radial difference; cutoff: a shell whose node values carry the
+    # circular differences in their last bits
+    f = crossing_corpus(np.random.default_rng(163), 200)[0]
+    assert not np.ptp(f.circular[16], axis=-1).any()
+    got = dirichlet_energy(f)[16]
+    want = gridfun_oracle.longdouble_dirichlet(f)[16]
+    assert abs(got - want) <= 1e-13 * want
+    f, _ = cutoff_corpus(np.random.default_rng(41), 100)[2]
+    got = dirichlet_energy(f, "shell")[22]
+    want = gridfun_oracle.longdouble_dirichlet(f, "shell")[22]
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("check", [check_crossing_energy, check_cutoff_extension])
+def test_energy_checks_peak_below_1_mb(check):
+    # the checks hold factors and peak at about 0.96 MB (crossing, whose
+    # corpus list holds the 0.78 MB of all 200 functions' factors) and
+    # 0.35 MB (cutoff); the full (k, n_rho, n_t) node grid of a single
+    # crossing stack (0.76 MB) would break the bound
+    check(np.random.default_rng(0))  # builds the grids and quadratures
+    tracemalloc.start()
+    try:
+        check(np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
