@@ -60,7 +60,6 @@ from .spectral import (
     l2_norm_sq,
     network_lambda1,
     rayleigh_upper_bound,
-    sample_collar_function,
     scaling_rows_to_csv,
     scaling_study,
 )

@@ -13,7 +13,6 @@ from .gridfun import (
     cutoff_extension_check,
     dirichlet_energy,
     l2_norm_sq,
-    sample_collar_function,
 )
 from .network import (
     DisconnectedNetworkError,
@@ -48,7 +47,6 @@ __all__ = [
     "cutoff_extension_check",
     "dirichlet_energy",
     "l2_norm_sq",
-    "sample_collar_function",
     "DisconnectedNetworkError",
     "NetworkBuildError",
     "NetworkEdge",

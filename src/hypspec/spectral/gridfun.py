@@ -11,11 +11,9 @@ against the area element l cosh(rho) drho dt, with
 
 A grid function holds its node values as a radial factor P of shape
 (..., n_rho, r) times a circular factor C of shape (..., r, n_t): a
-separable function of rank r keeps its r radial profiles and r waves.
-A function given by its node values keeps them as P and has no
-circular factor (``circular`` is None, standing for the identity).
-``values`` forms the product on demand, and is P itself when there is
-no circular factor.  A single function has no leading axes; a stack of
+separable function of rank r keeps its r radial profiles and its r
+waves, and a constant is ones times ones.  ``values`` forms the product
+on demand.  A single function has no leading axes; a stack of
 functions on the same grid has them, and every energy and check
 returns one number per function of the stack: a scalar for a single
 function, an array of the stack's shape otherwise.  Each function's
@@ -29,12 +27,8 @@ mass is the weighted row sums of squares of P R^T, the radial
 Dirichlet term those of diff(P) R^T, and the circular term those of
 P S^T, each reduced per function by ``einsum``.  The square roots keep
 the conditioning of C: the Gram form P (C C^T) P^T would square it.
-Any matrix M with M M^T = C C^T serves in place of R^T, and for a
-function held by its node values the roots are the identity and the
-cyclic difference matrix themselves: their products with P are exact
-(a row times the identity is the row, times the cyclic difference the
-rounded difference of neighbours), so its sums are the sums over its
-node grid, a constant has zero energy exactly, and no QR is taken.
+A constant has zero energy exactly: its radial differences and its
+circular difference D are zero, and so is S.
 
 An energy over the "core" or the "shell" reads only the radial rows of
 that region; the quadrature weights are those of the whole grid
@@ -62,9 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_N_RHO = 256
-DEFAULT_N_T = 64
-
 _REGIONS = ("all", "core", "shell")
 
 
@@ -86,11 +77,16 @@ class HypothesisNotMet(ValueError):
         )
 
 
+def _require_positive_finite(name: str, value) -> None:
+    """Reject a value (or any entry of an array) that is not positive and finite."""
+    if not np.all((value > 0.0) & np.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @functools.lru_cache(maxsize=64)
 def _grid(half_width: float, has_shell: bool, n_rho: int, n_t: int):
     """The (rho, t) nodes of a collar grid, built once per grid and read-only."""
-    if half_width <= 0.0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    _require_positive_finite("half_width", half_width)
     if n_rho < 16:
         raise ValueError(f"n_rho must be >= 16, got {n_rho}")
     if n_t < 4:
@@ -118,12 +114,11 @@ class CollarGridFunction:
 
     Held as a radial factor ``radial`` of shape (..., n_rho, r) times a
     circular factor ``circular`` of shape (..., r, n_t); the leading
-    axes of the two broadcast to the stack's shape.  A function given by
-    its node values has them as ``radial`` (r = n_t) and ``circular``
-    None.  The node values are formed on demand as :attr:`values`.  The
-    grid function keeps read-only copies of the factors it is given, so
-    the roots every energy reads are taken once per grid function and
-    no later write to the caller's arrays reaches them.
+    axes of the two broadcast to the stack's shape.  The node values
+    are formed on demand as :attr:`values`.  The grid function keeps
+    read-only copies of the factors it is given, so the roots every
+    energy reads are taken once per grid function and no later write to
+    the caller's arrays reaches them.
     """
 
     ell: float
@@ -132,39 +127,27 @@ class CollarGridFunction:
     rho: np.ndarray
     t: np.ndarray
     radial: np.ndarray
-    circular: np.ndarray | None = None
+    circular: np.ndarray
 
     def __post_init__(self):
-        if self.ell <= 0.0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+        _require_positive_finite("ell", self.ell)
+        _require_positive_finite("half_width", self.half_width)
         # C order, so a stack's radial rows read as one flat run (_radial_diff)
         for name in ("radial", "circular"):
-            factor = getattr(self, name)
-            if factor is not None:
-                factor = np.array(factor, dtype=float, order="C")
-                factor.setflags(write=False)
-                object.__setattr__(self, name, factor)
+            factor = np.array(getattr(self, name), dtype=float, order="C")
+            factor.setflags(write=False)
+            object.__setattr__(self, name, factor)
         n_rho, n_t = self.rho.size, self.t.size
-        p = self.radial.shape
-        c = (n_t, n_t) if self.circular is None else self.circular.shape
+        p, c = self.radial.shape, self.circular.shape
         if len(p) < 2 or len(c) < 2 or (p[-2], c[-1], p[-1]) != (n_rho, n_t, c[-2]):
             raise ValueError(
-                f"factors must be (..., {n_rho}, r) and (..., r, {n_t}) or None, "
-                f"got {p} and {None if self.circular is None else c}"
+                f"factors must be (..., {n_rho}, r) and (..., r, {n_t}), got {p} and {c}"
             )
 
     @property
     def values(self) -> np.ndarray:
-        """Node values, of shape (..., n_rho, n_t).
-
-        ``np.matmul(radial, circular)``, or ``radial`` itself (read-only)
-        for a function held by its node values.
-        """
-        return self._nodes(self.radial)
-
-    def _nodes(self, radial: np.ndarray) -> np.ndarray:
-        """The node values of these radial rows (``radial`` itself for node values)."""
-        return radial if self.circular is None else np.matmul(radial, self.circular)
+        """Node values ``np.matmul(radial, circular)``, of shape (..., n_rho, n_t)."""
+        return np.matmul(self.radial, self.circular)
 
     @functools.cached_property
     def _roots(self) -> np.ndarray:
@@ -173,69 +156,21 @@ class CollarGridFunction:
         R is the triangular factor of a QR of C^T (or D^T), so R^T R =
         C C^T and a radial row p has |p C|^2 = |p R^T|^2: the sum over
         the circle, taken without forming the row's nodes.  Both QRs run
-        as one stacked call, one per function and matrix.  Node values
-        take the identity and the cyclic difference matrix instead.
+        as one stacked call, one per function and matrix.
         """
-        if self.circular is None:
-            return _node_roots(self.t.size)
         c = self.circular
         pair = np.stack((c, np.roll(c, -1, axis=-1) - c))
         return np.swapaxes(np.linalg.qr(np.swapaxes(pair, -1, -2), mode="r"), -1, -2)
 
-    def with_factors(
-        self, radial: np.ndarray, circular: np.ndarray | None
-    ) -> "CollarGridFunction":
+    def with_factors(self, radial: np.ndarray, circular: np.ndarray) -> "CollarGridFunction":
         """The function(s) with copies of these factors, on the same grid."""
         return dataclasses.replace(self, radial=radial, circular=circular)
-
-    def with_values(self, values: np.ndarray) -> "CollarGridFunction":
-        """The function(s) with a copy of these node values, on the same grid."""
-        return self.with_factors(values, None)
 
     def wall_indices(self) -> tuple[int, int]:
         """Row indices of the collar walls rho = -w and rho = +w."""
         i_lo = int(np.argmin(np.abs(self.rho + self.half_width)))
         i_hi = int(np.argmin(np.abs(self.rho - self.half_width)))
         return i_lo, i_hi
-
-
-def sample_collar_function(
-    ell: float,
-    half_width: float,
-    fn,
-    *,
-    has_shell: bool = False,
-    n_rho: int = DEFAULT_N_RHO,
-    n_t: int = DEFAULT_N_T,
-) -> CollarGridFunction:
-    """Evaluate ``fn(rho, t)`` (numpy-broadcastable) on the collar grid.
-
-    ``fn`` receives ``rho`` as a column and ``t`` as a row; a result
-    with leading axes before those two is a stack of functions.  The
-    grid function keeps its own copy of the values as its radial
-    factor, with no circular factor; its ``rho`` and ``t`` nodes are
-    read-only and shared by every function sampled on the same grid.
-    """
-    rho, t = _grid(half_width, has_shell, n_rho, n_t)
-    vals = np.asarray(fn(rho[:, None], t[None, :]), dtype=float)
-    vals = np.broadcast_to(vals, vals.shape[:-2] + (rho.size, t.size))
-    return CollarGridFunction(
-        ell=ell, half_width=half_width, has_shell=has_shell, rho=rho, t=t, radial=vals
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _node_roots(n_t: int) -> np.ndarray:
-    """The identity and the cyclic difference matrix: the roots of node values.
-
-    Each is a root of its own Gram matrix, and its product with a row
-    of node values is exact: the row, and the rounded differences of
-    neighbours ``roll(row, -1) - row``.  Read-only, shared per n_t.
-    """
-    eye = np.eye(n_t)
-    roots = np.stack((eye, np.roll(eye, -1, axis=-1) - eye))
-    roots.setflags(write=False)
-    return roots
 
 
 # -------------------------------------------------------------------
@@ -393,7 +328,7 @@ def crossing_energy_check(f: CollarGridFunction, *, rtol: float = 1e-9) -> Cross
     pi/(4 gd(w)) > 1, so honest quadrature passes with margin; rtol
     only absorbs roundoff.
     """
-    walls = f._nodes(f.radial[..., list(f.wall_indices()), :])
+    walls = np.matmul(f.radial[..., list(f.wall_indices()), :], f.circular)
     c = np.abs(walls[..., 1, :] - walls[..., 0, :]).min(axis=-1)
     energy = dirichlet_energy(f, region="core" if f.has_shell else "all")
     bound = c * c * f.ell / 4.0
@@ -450,17 +385,16 @@ def cutoff_extension_check(
     if not 0.0 < delta < 1.0 / 16.0:
         raise ValueError(f"delta must lie in (0, 1/16), got {delta}")
     mass_floor = np.asarray(mass_floor, dtype=float)
-    if (mass_floor <= 0.0).any():
-        raise ValueError(f"mass_floor must be positive, got {mass_floor}")
+    _require_positive_finite("mass_floor", mass_floor)
     roots, shell = f._roots, _region_rows(f, "shell")
     shell_radial = f.radial[..., shell.rows, :]
     core_mass = l2_norm_sq(f, "core")
     shell_mass = _mass(shell, shell_radial, roots[0])
     shell_energy = _dirichlet(shell, shell_radial, roots)
     _require_hypotheses(
-        ("core-mass", core_mass, mass_floor, core_mass < mass_floor),
-        ("shell-mass", shell_mass, delta * mass_floor, shell_mass > delta * mass_floor),
-        ("shell-energy", shell_energy, delta * mass_floor, shell_energy > delta * mass_floor),
+        ("core-mass", core_mass, mass_floor, ~(core_mass >= mass_floor)),
+        ("shell-mass", shell_mass, delta * mass_floor, ~(shell_mass <= delta * mass_floor)),
+        ("shell-energy", shell_energy, delta * mass_floor, ~(shell_energy <= delta * mass_floor)),
     )
 
     # the cutoff factor is 1 on the core, so F differs from f only on the shell

@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from hypspec.collars import max_half_width
-from hypspec.spectral import dirichlet_energy, l2_norm_sq, sample_collar_function
+from hypspec.spectral import CollarGridFunction, dirichlet_energy, l2_norm_sq
+from hypspec.spectral.gridfun import _grid
 
 CROSSING_LENGTHS = (0.05, 0.1, 0.5)
 CROSSING_SHAPES = tuple(
@@ -33,19 +34,14 @@ CROSSING_SHAPES = tuple(
 _MAX_TRIG_DEGREE = 3
 
 
-def _trig_polynomial(rho_coeffs, freqs, phases, half_width: float):
-    """Smooth band-limited f(rho, t): low-degree polynomial in rho times trig in t."""
+def _trig_polynomial(ell: float, half_width: float, rho_coeffs, freqs, phases):
+    """Smooth band-limited f(rho, t): low-degree polynomials in rho times trig in t."""
+    rho, t = _grid(half_width, False, 128, 32)
     degree = len(rho_coeffs) - 1
-
-    def fn(rho, t):
-        x = rho[:, 0] / half_width
-        poly = np.stack(
-            [sum(rho_coeffs[j, m] * x**j for j in range(degree + 1)) for m in range(3)]
-        )
-        wave = np.cos(2.0 * math.pi * freqs[:, None] * t + phases[:, None])
-        return poly.T @ wave
-
-    return fn
+    x = rho / half_width
+    poly = np.stack([sum(rho_coeffs[j, m] * x**j for j in range(degree + 1)) for m in range(3)])
+    wave = np.cos(2.0 * math.pi * freqs[:, None] * t + phases[:, None])
+    return CollarGridFunction(ell, half_width, False, rho, t, poly.T, wave)
 
 
 def _draw_crossing(rng: np.random.Generator, count: int):
@@ -69,8 +65,7 @@ def crossing_corpus(rng: np.random.Generator, count: int):
     for k in range(count):
         ell, w = CROSSING_SHAPES[k % len(CROSSING_SHAPES)]
         degree = int(degrees[k])
-        fn = _trig_polynomial(coeffs[k, : degree + 1], freqs[k], phases[k], w)
-        out.append(sample_collar_function(ell, w, fn, has_shell=False, n_rho=128, n_t=32))
+        out.append(_trig_polynomial(ell, w, coeffs[k, : degree + 1], freqs[k], phases[k]))
     return out
 
 
@@ -80,21 +75,19 @@ def three_einsum_crossing_corpus(rng: np.random.Generator, count: int):
     coeffs[np.arange(_MAX_TRIG_DEGREE + 1) > degrees[:, None]] = 0.0
     out = []
     step = len(CROSSING_SHAPES)
-    for s, (ell, w) in enumerate(CROSSING_SHAPES[:count]):
+    for s, (_, w) in enumerate(CROSSING_SHAPES[:count]):
         c = coeffs[s::step, :, :, None, None]
         n = freqs[s::step, :, None, None]
         phi = phases[s::step, :, None, None]
-
-        def fn(rho, t, c=c, n=n, phi=phi, w=w):
-            powers = [(rho / w) ** j for j in range(_MAX_TRIG_DEGREE + 1)]
-            total = np.zeros((len(c), rho.size, t.size))
-            for m in range(3):
-                poly = sum(c[:, j, m] * powers[j] for j in range(_MAX_TRIG_DEGREE + 1))
-                wave = np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
-                total += np.einsum("kri,kit->krt", poly, wave)
-            return total
-
-        out.append(sample_collar_function(ell, w, fn, n_rho=128, n_t=32).values)
+        rho, t = _grid(w, False, 128, 32)
+        rho, t = rho[:, None], t[None, :]
+        powers = [(rho / w) ** j for j in range(_MAX_TRIG_DEGREE + 1)]
+        total = np.zeros((len(c), rho.size, t.size))
+        for m in range(3):
+            poly = sum(c[:, j, m] * powers[j] for j in range(_MAX_TRIG_DEGREE + 1))
+            wave = np.cos(2.0 * math.pi * n[:, m] * t + phi[:, m])
+            total += np.einsum("kri,kit->krt", poly, wave)
+        out.append(total)
     return out
 
 
@@ -125,13 +118,11 @@ def cutoff_corpus(rng: np.random.Generator, count: int, *, delta=1.0 / 64.0):
         taper_start = float(rng.uniform(0.3, 0.6)) * w
         modulation = float(rng.uniform(0.0, 0.2))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        grid = sample_collar_function(
-            ell, w, lambda r, t: 0 * r * t, has_shell=True, n_rho=192, n_t=32
-        )
+        rho, t = _grid(w, True, 192, 32)
         while True:
             base = _plateau_profile(w, taper_start, sigma)
-            wave = 1.0 + modulation * np.cos(2.0 * math.pi * grid.t + phase)
-            f = grid.with_factors(base(grid.rho)[:, None], wave[None, :])
+            wave = 1.0 + modulation * np.cos(2.0 * math.pi * t + phase)
+            f = CollarGridFunction(ell, w, True, rho, t, base(rho)[:, None], wave[None, :])
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
             if l2_norm_sq(f, "shell") <= budget and dirichlet_energy(f, "shell") <= budget:

@@ -6,10 +6,8 @@ its radial factor and C its circular factor, it takes R from a QR of
 C^T and S from a QR of D^T, D = roll(C, -1) - C the circular
 difference, and sums the weighted squares of P R^T (mass), of
 diff(P) R^T (radial Dirichlet term) and of P S^T (circular Dirichlet
-term), against weights that hold the radial steps, dt and 1/n_t.  A
-function held by its node values (no circular factor) is summed on its
-node grid instead: its rows as they are, its circular differences by
-``np.roll``.  The crossing gap is read off the node values ``f.values``.
+term), against weights that hold the radial steps, dt and 1/n_t.  The
+crossing gap is read off the node values ``f.values``.
 ``hypspec.spectral.gridfun`` must reproduce every value of this
 ``formula="factored"`` bit for bit.
 
@@ -87,16 +85,13 @@ def _per_function(f, radial, one):
     each row, to those of the rows' nodes (m = 0) or of their circular
     differences (m = 1).
     """
-    c_all = f.circular
-    shape = np.broadcast_shapes(radial.shape[:-2], () if c_all is None else c_all.shape[:-2])
+    shape = np.broadcast_shapes(radial.shape[:-2], f.circular.shape[:-2])
     p = np.broadcast_to(radial, shape + radial.shape[-2:])
+    c_all = np.broadcast_to(f.circular, shape + f.circular.shape[-2:])
     out = np.empty(shape)
     for index in np.ndindex(shape):
-        if c_all is None:
-            circle = _node_circle
-        else:
-            c = np.broadcast_to(c_all, shape + c_all.shape[-2:])[index]
-            circle = functools.partial(_times, (_root(c), _root(np.roll(c, -1, axis=-1) - c)))
+        c = c_all[index]
+        circle = functools.partial(_times, (_root(c), _root(np.roll(c, -1, axis=-1) - c)))
         out[index] = one(p[index], circle)
     return out[()]
 
@@ -109,16 +104,12 @@ def _times(roots, rows, m):
     return rows @ roots[m]
 
 
-def _node_circle(rows, m):
-    return rows if m == 0 else np.roll(rows, -1, axis=-1) - rows
-
-
 def _sum_sq(w, rows):
     return np.einsum("i,ij->", w, rows**2)
 
 
 def _nodes(f, radial):
-    return radial if f.circular is None else np.matmul(radial, f.circular)
+    return np.matmul(radial, f.circular)
 
 
 def mass(f, r, radial, formula="factored"):
@@ -166,8 +157,7 @@ def longdouble_dirichlet(f, region="all"):
     """The Dirichlet quadrature of the region in ``np.longdouble``, from the factors."""
     r = region_rows(f, region)
     ld = np.longdouble
-    radial = f.radial[..., r.rows, :].astype(ld)
-    values = radial if f.circular is None else np.matmul(radial, f.circular.astype(ld))
+    values = np.matmul(f.radial[..., r.rows, :].astype(ld), f.circular.astype(ld))
     d_rho = np.diff(values, axis=-2)
     d_t = np.roll(values, -1, axis=-1) - values
     return np.einsum("i,...ij->...", r.cell_w.astype(ld), d_rho**2) + np.einsum(
@@ -206,15 +196,18 @@ def cutoff_extension_check(f, delta, mass_floor, rtol=1e-9, formula="factored"):
     A function that misses a hypothesis gives ``("missed", name, index)``
     for the first such function of the stack (in C order) and the first
     hypothesis it misses, in the order core mass, shell mass, shell
-    energy.
+    energy; a NaN measure misses.  A floor that is not positive and
+    finite raises ``ValueError``.
     """
     mass_floor = np.asarray(mass_floor, dtype=float)
+    if not np.all(np.isfinite(mass_floor) & (mass_floor > 0.0)):
+        raise ValueError(f"mass_floor must be positive and finite, got {mass_floor}")
     m = cutoff_measures(f, formula)
     floor = np.broadcast_to(mass_floor, np.shape(m["core_mass"]))
     missed = (
-        ("core-mass", m["core_mass"] < floor),
-        ("shell-mass", m["shell_mass"] > delta * floor),
-        ("shell-energy", m["shell_energy"] > delta * floor),
+        ("core-mass", ~(m["core_mass"] >= floor)),
+        ("shell-mass", ~(m["shell_mass"] <= delta * floor)),
+        ("shell-energy", ~(m["shell_energy"] <= delta * floor)),
     )
     for index in np.ndindex(floor.shape):
         for name, miss in missed:

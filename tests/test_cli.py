@@ -247,9 +247,8 @@ PUBLIC_API = [
     "crossing_energy_check", "cutoff_extension_check", "decompose", "dirichlet_energy",
     "dump_surface", "epsilon_admissible", "gudermannian", "l2_norm_sq", "load_surface",
     "make_multicut", "max_half_width", "min_separating_length", "modified_half_width",
-    "network_lambda1", "rayleigh_upper_bound", "sample_collar_function",
-    "scaling_rows_to_csv", "scaling_study", "shell_detour_lengths", "shell_volume",
-    "surface_to_dict", "total_volume",
+    "network_lambda1", "rayleigh_upper_bound", "scaling_rows_to_csv", "scaling_study",
+    "shell_detour_lengths", "shell_volume", "surface_to_dict", "total_volume",
 ]
 SPECTRAL_API = [
     "CollarGridFunction", "CollarMode", "CrossingCheck", "CutoffCheck",
@@ -258,8 +257,7 @@ SPECTRAL_API = [
     "assemble_report", "build_network", "cheeger_lower_bound", "collar_conductance",
     "collar_dirichlet_lambda1_batch", "crossing_corpus", "crossing_energy_check",
     "cutoff_corpus", "cutoff_extension_check", "dirichlet_energy", "l2_norm_sq",
-    "network_lambda1", "rayleigh_upper_bound", "sample_collar_function",
-    "scaling_rows_to_csv", "scaling_study",
+    "network_lambda1", "rayleigh_upper_bound", "scaling_rows_to_csv", "scaling_study",
 ]
 
 

@@ -5,6 +5,7 @@ antiderivatives for the probe functions used here, so the discrete
 scheme is validated end to end, including its second-order rate.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,12 +23,25 @@ from hypspec.spectral import (
     cutoff_extension_check,
     dirichlet_energy,
     l2_norm_sq,
-    sample_collar_function,
 )
+from hypspec.spectral.gridfun import _grid
 from hypspec.verify import check_crossing_energy, check_cutoff_extension
 
 ELL = 0.1
 W = 2.0
+
+
+def _sample(radial, circular=np.ones_like, *, has_shell=False, n_rho=256, n_t=64):
+    """The separable probe radial(rho) * circular(t) on the collar of length ELL, width W.
+
+    ``radial`` gets the rho nodes as a column and gives (..., n_rho, r)
+    profiles, ``circular`` the t nodes as a row and gives (..., r, n_t)
+    waves: rank r sums r terms, and leading axes make a stack.
+    """
+    rho, t = _grid(W, has_shell, n_rho, n_t)
+    return CollarGridFunction(
+        ELL, W, has_shell, rho, t, radial(rho[:, None]), circular(t[None, :])
+    )
 
 
 def richardson(make, n_rho, n_t):
@@ -39,8 +53,7 @@ def richardson(make, n_rho, n_t):
 def test_energy_of_linear_radial_function():
     # f = rho: |grad f|^2 = 1, energy = 2 l sinh(W)
     def make(nr, nt):
-        f = sample_collar_function(ELL, W, lambda r, t: r + 0 * t, n_rho=nr, n_t=nt)
-        return dirichlet_energy(f)
+        return dirichlet_energy(_sample(lambda r: r, n_rho=nr, n_t=nt))
 
     exact = 2.0 * ELL * math.sinh(W)
     assert richardson(make, 256, 64) == pytest.approx(exact, rel=1e-6)
@@ -49,9 +62,7 @@ def test_energy_of_linear_radial_function():
 def test_energy_of_circular_wave():
     # f = sin(2 pi t): energy = 4 pi^2 gd(W) / l
     def make(nr, nt):
-        f = sample_collar_function(
-            ELL, W, lambda r, t: np.sin(2 * np.pi * t) + 0 * r, n_rho=nr, n_t=nt
-        )
+        f = _sample(np.ones_like, lambda t: np.sin(2 * np.pi * t), n_rho=nr, n_t=nt)
         return dirichlet_energy(f)
 
     exact = 4.0 * math.pi**2 * gudermannian(W) / ELL
@@ -62,12 +73,10 @@ def test_energy_and_mass_of_sinh():
     # f = sinh(rho): energy = 2 l (sinh W + sinh^3 W / 3),
     #                mass   = 2 l sinh^3 W / 3
     def make_e(nr, nt):
-        f = sample_collar_function(ELL, W, lambda r, t: np.sinh(r) + 0 * t, n_rho=nr, n_t=nt)
-        return dirichlet_energy(f)
+        return dirichlet_energy(_sample(np.sinh, n_rho=nr, n_t=nt))
 
     def make_m(nr, nt):
-        f = sample_collar_function(ELL, W, lambda r, t: np.sinh(r) + 0 * t, n_rho=nr, n_t=nt)
-        return l2_norm_sq(f)
+        return l2_norm_sq(_sample(np.sinh, n_rho=nr, n_t=nt))
 
     s = math.sinh(W)
     assert richardson(make_e, 256, 64) == pytest.approx(
@@ -80,8 +89,7 @@ def test_energy_and_mass_of_sinh():
 
 def test_scheme_is_second_order():
     def make(nr, nt):
-        f = sample_collar_function(ELL, W, lambda r, t: np.sinh(r) + 0 * t, n_rho=nr, n_t=nt)
-        return dirichlet_energy(f)
+        return dirichlet_energy(_sample(np.sinh, n_rho=nr, n_t=nt))
 
     exact = 2.0 * ELL * (math.sinh(W) + math.sinh(W) ** 3 / 3.0)
     e1 = abs(make(128, 32) - exact)
@@ -90,26 +98,15 @@ def test_scheme_is_second_order():
 
 
 def test_constant_has_zero_energy_and_area_mass():
-    f = sample_collar_function(ELL, W, lambda r, t: 1.0 + 0 * r * t)
+    # ones times ones: the radial differences and the wave's circular
+    # difference are zero, so every energy is exactly zero
+    f = _sample(np.ones_like)
     assert dirichlet_energy(f) == 0.0
     assert l2_norm_sq(f) == pytest.approx(2.0 * ELL * math.sinh(W), rel=1e-3)
-    # held as one radial profile times one wave, too
-    ones = f.with_factors(np.ones((f.rho.size, 1)), np.ones((1, f.t.size)))
-    assert dirichlet_energy(ones) == 0.0
-    assert l2_norm_sq(ones) == pytest.approx(l2_norm_sq(f), rel=1e-15)
-
-
-def test_node_values_come_back_bit_for_bit():
-    f = sample_collar_function(ELL, W, lambda r, t: np.sin(7 * r) * np.cos(2 * np.pi * t))
-    values = f.values.copy()
-    values[0, :4] = (-0.0, np.inf, -np.inf, 5e-324)
-    values[1, 0] = np.nan
-    g = f.with_values(values)
-    assert g.values.tobytes() == values.tobytes()
-    assert g.circular is None
-    assert sample_collar_function(ELL, W, lambda r, t: values).values.tobytes() == (
-        values.tobytes()
-    )
+    shell = _sample(np.ones_like, has_shell=True)
+    for region in ("all", "core", "shell"):
+        assert dirichlet_energy(shell, region) == 0.0
+    assert l2_norm_sq(shell) == pytest.approx(2.0 * ELL * math.sinh(W + 1.0), rel=1e-3)
 
 
 def test_grid_functions_keep_read_only_copies_of_their_factors():
@@ -128,15 +125,13 @@ def test_grid_functions_keep_read_only_copies_of_their_factors():
     assert dirichlet_energy(g, "shell").tobytes() == energy.tobytes()
     assert l2_norm_sq(g, "shell").tobytes() == mass.tobytes()
     assert g.values.tobytes() == f.values.tobytes()
-    for factor in (g.radial, g.circular, g.with_values(f.values).radial):
+    for factor in (g.radial, g.circular):
         with pytest.raises(ValueError, match="read-only"):
             factor[0] = 1.0
 
 
 def test_regions_partition_the_collar():
-    f = sample_collar_function(
-        ELL, W, lambda r, t: np.cosh(r) * np.cos(2 * np.pi * t), has_shell=True
-    )
+    f = _sample(np.cosh, lambda t: np.cos(2 * np.pi * t), has_shell=True)
     assert l2_norm_sq(f, "core") + l2_norm_sq(f, "shell") == pytest.approx(
         l2_norm_sq(f, "all"), rel=1e-12
     )
@@ -146,7 +141,7 @@ def test_regions_partition_the_collar():
 
 
 def test_region_validation():
-    plain = sample_collar_function(ELL, W, lambda r, t: r + 0 * t)
+    plain = _sample(lambda r: r)
     with pytest.raises(ValueError):
         l2_norm_sq(plain, "shell")
     with pytest.raises(ValueError):
@@ -154,7 +149,7 @@ def test_region_validation():
 
 
 def test_shell_grid_hits_walls_exactly():
-    f = sample_collar_function(ELL, W, lambda r, t: r + 0 * t, has_shell=True)
+    f = _sample(lambda r: r, has_shell=True)
     i_lo, i_hi = f.wall_indices()
     assert f.rho[i_lo] == -W
     assert f.rho[i_hi] == W
@@ -164,9 +159,7 @@ def test_shell_grid_hits_walls_exactly():
 
 def test_crossing_check_on_odd_ramp():
     # f = sign(rho) min(|rho|, 1): gap 2, bound l, energy 2 l sinh(1)
-    f = sample_collar_function(
-        ELL, W, lambda r, t: np.sign(r) * np.minimum(np.abs(r), 1.0) + 0 * t
-    )
+    f = _sample(lambda r: np.sign(r) * np.minimum(np.abs(r), 1.0))
     chk = crossing_energy_check(f)
     assert chk.passed
     assert chk.crossing_gap == pytest.approx(2.0, rel=1e-12)
@@ -176,8 +169,7 @@ def test_crossing_check_on_odd_ramp():
 
 
 def test_crossing_check_trivial_for_constants():
-    f = sample_collar_function(ELL, W, lambda r, t: 3.0 + 0 * r * t)
-    chk = crossing_energy_check(f)
+    chk = crossing_energy_check(_sample(lambda r: np.full_like(r, 3.0)))
     assert chk.passed
     assert chk.crossing_gap == 0.0
     assert chk.bound == 0.0
@@ -185,13 +177,7 @@ def test_crossing_check_trivial_for_constants():
 
 def test_crossing_gap_minimizes_over_wall_pairs():
     # gap varies with t; the check must take the minimum
-    f = sample_collar_function(
-        ELL,
-        W,
-        lambda r, t: (r / W) * (1.0 + np.cos(2 * np.pi * t)),
-        n_t=64,
-    )
-    chk = crossing_energy_check(f)
+    chk = crossing_energy_check(_sample(lambda r: r / W, lambda t: 1.0 + np.cos(2 * np.pi * t)))
     # at t = 1/2 the factor vanishes, so the minimal gap is ~0
     assert chk.crossing_gap == pytest.approx(0.0, abs=1e-2)
     assert chk.passed
@@ -222,7 +208,7 @@ def test_cutoff_corpus_all_pass():
 
 def test_cutoff_rejects_function_heavy_in_the_shell():
     # constant across core and shell: shell mass breaks the hypothesis
-    f = sample_collar_function(ELL, W, lambda r, t: 1.0 + 0 * r * t, has_shell=True)
+    f = _sample(np.ones_like, has_shell=True)
     floor = l2_norm_sq(f, "core")
     with pytest.raises(HypothesisNotMet) as err:
         cutoff_extension_check(f, 1.0 / 64.0, floor)
@@ -234,10 +220,10 @@ def test_cutoff_rejects_steep_wall_taper():
     # but enormous shell energy
     drop = 2e-3
 
-    def fn(r, t):
-        return np.clip((W + drop - np.abs(r)) / drop, 0.0, 1.0) + 0 * t
+    def fn(r):
+        return np.clip((W + drop - np.abs(r)) / drop, 0.0, 1.0)
 
-    f = sample_collar_function(ELL, W, fn, has_shell=True, n_rho=2048)
+    f = _sample(fn, has_shell=True, n_rho=2048)
     floor = 0.9 * l2_norm_sq(f, "core")
     with pytest.raises(HypothesisNotMet) as err:
         cutoff_extension_check(f, 1.0 / 64.0, floor)
@@ -245,17 +231,15 @@ def test_cutoff_rejects_steep_wall_taper():
 
 
 def test_cutoff_rejects_thin_core_mass():
-    f = sample_collar_function(
-        ELL, W, lambda r, t: np.exp(-(r**2)) * 1e-3 + 0 * t, has_shell=True
-    )
+    f = _sample(lambda r: np.exp(-(r**2)) * 1e-3, has_shell=True)
     with pytest.raises(HypothesisNotMet) as err:
         cutoff_extension_check(f, 1.0 / 64.0, 1.0)
     assert err.value.which == "core-mass"
 
 
 def test_cutoff_parameter_validation():
-    f = sample_collar_function(ELL, W, lambda r, t: 1.0 + 0 * r * t, has_shell=True)
-    plain = sample_collar_function(ELL, W, lambda r, t: 1.0 + 0 * r * t)
+    f = _sample(np.ones_like, has_shell=True)
+    plain = _sample(np.ones_like)
     with pytest.raises(ValueError):
         cutoff_extension_check(plain, 1.0 / 64.0, 1.0)
     with pytest.raises(ValueError):
@@ -263,38 +247,34 @@ def test_cutoff_parameter_validation():
     with pytest.raises(ValueError):
         cutoff_extension_check(f, 0.0, 1.0)
     with pytest.raises(ValueError):
-        cutoff_extension_check(f, 1.0 / 64.0, -1.0)
+        cutoff_extension_check(f, np.nan, 1.0)
+    # a floor must be positive and finite, so no NaN measure can pass it
+    for floor in (-1.0, 0.0, np.nan, np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="mass_floor must be positive and finite"):
+            cutoff_extension_check(f, 1.0 / 64.0, floor)
 
 
 def test_grid_function_shape_checks():
-    f = sample_collar_function(ELL, W, lambda r, t: r + 0 * t, n_rho=32, n_t=8)
+    f = _sample(lambda r: r, n_rho=32, n_t=8)
     with pytest.raises(ValueError):
-        f.with_values(np.zeros((3, 3)))
+        f.with_factors(np.zeros((3, 3)), f.circular)
     with pytest.raises(ValueError):
-        sample_collar_function(-1.0, W, lambda r, t: r + 0 * t)
+        f.with_factors(f.radial, np.zeros((1, 9)))
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="ell must be positive and finite"):
+            dataclasses.replace(f, ell=bad)
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            dataclasses.replace(f, half_width=bad)
+        for has_shell in (False, True):
+            with pytest.raises(ValueError, match="half_width must be positive and finite"):
+                _grid(bad, has_shell, 32, 8)
     with pytest.raises(ValueError):
-        sample_collar_function(ELL, 0.0, lambda r, t: r + 0 * t)
-    with pytest.raises(ValueError):
-        sample_collar_function(ELL, W, lambda r, t: r + 0 * t, n_t=2)
+        _sample(lambda r: r, n_t=2)
 
 
 # -------------------------------------------------------------------
 # stacks of functions on one grid
 # -------------------------------------------------------------------
-
-def _random_stack(has_shell, count=25, seed=5, n_t=16):
-    """``count`` smooth random functions on one grid, as one stack."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(count, 4, 1, 1))
-    k = rng.integers(0, 3, size=(count, 1, 1))
-
-    def fn(r, t):
-        return (a[:, 0] + a[:, 1] * r + a[:, 2] * r**2) * np.cos(
-            2 * np.pi * k * t + a[:, 3]
-        )
-
-    return sample_collar_function(ELL, W, fn, has_shell=has_shell, n_rho=96, n_t=n_t)
-
 
 def _factored_stack(has_shell, rank, count=25, seed=5, n_t=16):
     """``count`` random separable functions of rank ``rank`` on one grid, as one stack.
@@ -307,20 +287,19 @@ def _factored_stack(has_shell, rank, count=25, seed=5, n_t=16):
     a = rng.normal(size=(count, 1, 3, rank))
     n = rng.integers(0, 3, size=(count, rank, 1))
     phase = rng.uniform(0.0, 2 * np.pi, size=(count, rank, 1))
-    grid = sample_collar_function(
-        ELL, W, lambda r, t: 0 * r * t, has_shell=has_shell, n_rho=96, n_t=n_t
+    return _sample(
+        lambda r: a[:, :, 0] + a[:, :, 1] * r + a[:, :, 2] * r**2,
+        lambda t: np.cos(2 * np.pi * n * t + phase),
+        has_shell=has_shell,
+        n_rho=96,
+        n_t=n_t,
     )
-    r = grid.rho[:, None]
-    radial = a[:, :, 0] + a[:, :, 1] * r + a[:, :, 2] * r**2
-    return grid.with_factors(radial, np.cos(2 * np.pi * n * grid.t + phase))
 
 
 def _take(f, index):
-    """The functions ``index`` of the stack ``f`` (a circular factor without stack axes,
-    or none, is shared)."""
-    circular = f.circular
-    if circular is not None and circular.ndim > 2:
-        circular = circular[index]
+    """The functions ``index`` of the stack ``f`` (a circular factor without stack axes
+    is shared)."""
+    circular = f.circular[index] if f.circular.ndim > 2 else f.circular
     return f.with_factors(f.radial[index], circular)
 
 
@@ -333,26 +312,21 @@ STACK_GRIDS = pytest.mark.parametrize(
 
 @STACK_GRIDS
 def test_stacked_energies_equal_one_function_calls(has_shell, regions):
-    stack = _random_stack(has_shell)
+    stack = _factored_stack(has_shell, 3)
     for region in regions:
         for energy in (l2_norm_sq, dirichlet_energy):
             stacked = energy(stack, region)
             assert stacked.shape == (25,)
             for k in range(25):
-                single = energy(stack.with_values(stack.values[k]), region)
+                single = energy(_take(stack, k), region)
                 assert np.ndim(single) == 0
                 assert stacked[k] == single, (region, energy.__name__, k)
 
 
 @STACK_GRIDS
 def test_energies_do_not_depend_on_the_stack(has_shell, regions):
-    # node values (the identity as circular factor), and factored stacks
-    # of rank 1 and 3: every reduction runs per function
-    for stack in (
-        _random_stack(has_shell),
-        _factored_stack(has_shell, 1),
-        _factored_stack(has_shell, 3),
-    ):
+    # stacks of rank 1 and 3: every reduction runs per function
+    for stack in (_factored_stack(has_shell, 1), _factored_stack(has_shell, 3)):
         for region in regions:
             for energy in (l2_norm_sq, dirichlet_energy):
                 stacked = energy(stack, region)
@@ -403,11 +377,13 @@ def test_cutoff_check_on_a_stack_names_the_first_violating_function():
 
 
 def test_stack_shape_checks():
-    stack = _random_stack(False, count=3)
+    stack = _factored_stack(False, 2, count=3)
     assert stack.values.shape == (3, stack.rho.size, stack.t.size)
     with pytest.raises(ValueError):
-        stack.with_values(np.zeros((3, stack.rho.size, stack.t.size + 1)))
-    shell = _random_stack(True, count=3)
+        stack.with_factors(stack.radial, np.zeros((3, 2, stack.t.size + 1)))
+    with pytest.raises(ValueError):
+        stack.with_factors(stack.radial, np.zeros((3, 3, stack.t.size)))
+    shell = _factored_stack(True, 1, count=3)
     with pytest.raises(ValueError):
         cutoff_extension_check(shell, 1.0 / 64.0, np.array([1.0, -1.0, 1.0]))
 
@@ -428,13 +404,12 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _plateau(has_shell, count, n_t, seed=9, factored=False):
+def _plateau(has_shell, count, n_t, seed=9):
     """Plateaus that taper inside the core to a small residual, times a t-wave.
 
     With floors at the core mass they meet the cutoff hypotheses at
-    delta = 1/64; ``count=None`` gives a single function.  Held as node
-    values, or with ``factored`` as the (k, n_rho, 1) profiles times the
-    (k, 1, n_t) waves.
+    delta = 1/64; ``count=None`` gives a single function.  Held as the
+    (k, n_rho, 1) profiles times the (k, 1, n_t) waves.
     """
     rng = np.random.default_rng(seed)
     k = 1 if count is None else count
@@ -452,22 +427,17 @@ def _plateau(has_shell, count, n_t, seed=9, factored=False):
     def circular(t):
         return 1.0 + mod * np.cos(2 * np.pi * t + phase)
 
-    f = sample_collar_function(
-        ELL, W, lambda r, t: radial(r) * circular(t), has_shell=has_shell, n_rho=96, n_t=n_t
-    )
-    if factored:
-        f = f.with_factors(radial(f.rho[:, None]), circular(f.t))
+    f = _sample(radial, circular, has_shell=has_shell, n_rho=96, n_t=n_t)
     return f if count is not None else _take(f, 0)
 
 
 def _kernel_cases(has_shell, count, n_t):
-    """Node-valued and factored (rank 3 and rank 1) cases, stacked or single."""
+    """Random stacks of rank 1 and 3 and plateaus, stacked or single."""
     k = count or 1
     stacks = (
-        _random_stack(has_shell, k, n_t=n_t),
+        _factored_stack(has_shell, 1, k, n_t=n_t),
         _factored_stack(has_shell, 3, k, n_t=n_t),
         _plateau(has_shell, k, n_t),
-        _plateau(has_shell, k, n_t, factored=True),
     )
     return [f if count is not None else _take(f, 0) for f in stacks]
 
@@ -475,6 +445,13 @@ def _kernel_cases(has_shell, count, n_t):
 def _odd(f):
     """f(rho, t) - f(-rho, t), whose walls differ for every t."""
     return f.with_factors(f.radial - f.radial[..., ::-1, :], f.circular)
+
+
+def _with_nan(f, row):
+    """f with a NaN at radial row ``row`` of its last function."""
+    radial = f.radial.copy()
+    radial[tuple(n - 1 for n in radial.shape[:-2]) + (row,)] = np.nan
+    return f.with_factors(radial, f.circular)
 
 
 def _broken(f):
@@ -516,28 +493,39 @@ def test_crossing_check_equals_the_oracle_bit_for_bit(has_shell, count, n_t):
 @KERNEL_CASES
 def test_cutoff_check_equals_the_oracle_bit_for_bit(count, n_t):
     delta = 1.0 / 64.0
-    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
-        core_mass = gridfun_oracle.l2_norm_sq(f, "core")
-        for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
-            chk = cutoff_extension_check(f, delta, floors)
-            want = gridfun_oracle.cutoff_extension_check(f, delta, floors)
-            assert isinstance(want, dict), want
-            for name, value in want.items():
-                assert _same_bits(getattr(chk, name), value), name
-            assert np.all(chk.passed)
+    f = _plateau(True, count, n_t)
+    core_mass = gridfun_oracle.l2_norm_sq(f, "core")
+    for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
+        chk = cutoff_extension_check(f, delta, floors)
+        want = gridfun_oracle.cutoff_extension_check(f, delta, floors)
+        assert isinstance(want, dict), want
+        for name, value in want.items():
+            assert _same_bits(getattr(chk, name), value), name
+        assert np.all(chk.passed)
 
 
 @KERNEL_N_T
 @KERNEL_CASES
 def test_cutoff_check_names_the_oracles_first_miss(count, n_t):
     delta = 1.0 / 64.0
-    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
-        floors = gridfun_oracle.l2_norm_sq(f, "core")
-        for g, c in ((_broken(f), floors), (f, floors * 1.5)):
-            want = gridfun_oracle.cutoff_extension_check(g, delta, c)
-            with pytest.raises(HypothesisNotMet) as err:
-                cutoff_extension_check(g, delta, c)
-            assert ("missed", err.value.which, err.value.index) == want
+    f = _plateau(True, count, n_t)
+    floors = gridfun_oracle.l2_norm_sq(f, "core")
+    last = tuple(n - 1 for n in f.radial.shape[:-2])
+    # a NaN in a core row, or in the shell's outer row, misses a hypothesis
+    # instead of passing as a check that failed
+    nan_core, nan_shell = _with_nan(f, f.rho.size // 2), _with_nan(f, 0)
+    cases = ((_broken(f), floors), (f, floors * 1.5), (nan_core, floors), (nan_shell, floors))
+    for g, c in cases:
+        want = gridfun_oracle.cutoff_extension_check(g, delta, c)
+        with pytest.raises(HypothesisNotMet) as err:
+            cutoff_extension_check(g, delta, c)
+        assert ("missed", err.value.which, err.value.index) == want
+    assert gridfun_oracle.cutoff_extension_check(nan_core, delta, floors) == (
+        "missed", "core-mass", last
+    )
+    assert gridfun_oracle.cutoff_extension_check(nan_shell, delta, floors) == (
+        "missed", "shell-mass", last
+    )
 
 
 # -------------------------------------------------------------------
@@ -576,19 +564,19 @@ def test_pre_divided_weights_drift_from_the_dividing_formula_below_1e_13(count, 
                 for name, value in want.items():
                     _assert_near(getattr(chk, name), value, name)
 
-    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
-        core_mass = gridfun_oracle.l2_norm_sq(f, "core")
-        for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
-            chk = cutoff_extension_check(f, delta, floors)
-            want = gridfun_oracle.cutoff_extension_check(f, delta, floors, formula="dividing")
-            assert isinstance(want, dict), want
-            for name, value in want.items():
-                _assert_near(getattr(chk, name), value, name)
-        for g, c in ((_broken(f), core_mass), (f, core_mass * 1.5)):
-            want = gridfun_oracle.cutoff_extension_check(g, delta, c, formula="dividing")
-            with pytest.raises(HypothesisNotMet) as err:
-                cutoff_extension_check(g, delta, c)
-            assert ("missed", err.value.which, err.value.index) == want
+    f = _plateau(True, count, n_t)
+    core_mass = gridfun_oracle.l2_norm_sq(f, "core")
+    for floors in (core_mass, 0.9 * core_mass, float(np.min(core_mass))):
+        chk = cutoff_extension_check(f, delta, floors)
+        want = gridfun_oracle.cutoff_extension_check(f, delta, floors, formula="dividing")
+        assert isinstance(want, dict), want
+        for name, value in want.items():
+            _assert_near(getattr(chk, name), value, name)
+    for g, c in ((_broken(f), core_mass), (f, core_mass * 1.5)):
+        want = gridfun_oracle.cutoff_extension_check(g, delta, c, formula="dividing")
+        with pytest.raises(HypothesisNotMet) as err:
+            cutoff_extension_check(g, delta, c)
+        assert ("missed", err.value.which, err.value.index) == want
 
 
 # The factored sums against the node-value formula they replace, which
@@ -612,10 +600,10 @@ def test_factored_sums_drift_from_the_grid_formula_within_stated_bounds(count, n
                 want = gridfun_oracle.crossing_energy_check(g, formula="grid")
                 for name, value in want.items():
                     _assert_near(getattr(chk, name), value, name, CROSSING_GRID_DRIFT)
-    for f in (_plateau(True, count, n_t), _plateau(True, count, n_t, factored=True)):
-        chk = cutoff_extension_check(f, 1.0 / 64.0, gridfun_oracle.l2_norm_sq(f, "core"))
-        for name, value in gridfun_oracle.cutoff_measures(f, formula="grid").items():
-            _assert_near(getattr(chk, name), value, name, CUTOFF_GRID_DRIFT)
+    f = _plateau(True, count, n_t)
+    chk = cutoff_extension_check(f, 1.0 / 64.0, gridfun_oracle.l2_norm_sq(f, "core"))
+    for name, value in gridfun_oracle.cutoff_measures(f, formula="grid").items():
+        _assert_near(getattr(chk, name), value, name, CUTOFF_GRID_DRIFT)
 
 
 def test_corpus_energies_drift_from_the_grid_formula_within_stated_bounds():
