@@ -31,13 +31,17 @@ By min-max the smallest eigenvalue of the N x N matrix (the Ritz
 value) is an upper bound that falls as N grows.  The leading J x J
 block of the N = 2J matrix is the J problem, so one assembly gives
 lam_J >= lam_2J >= lam; lam_2J is returned and lam_J - lam_2J is its
-one-sided error estimate.  The solve starts at J = 16 (enough for
-w <= 8 at 1e-10) and doubles J for the widths whose estimate exceeds
-1e-10 relative, up to J_MAX = 256, which resolves every w up to about
-200 (w = 300 is not).  At the cap a width that is still unresolved
-keeps its J_MAX value and an ExtrapolationWarning gives its estimate.
-Widths up to 8 take one 32 x 32 and one 16 x 16 eigensolve each.  The
-largest solve, a 512 x 512 matrix on 2080 nodes, costs about 1.7 s and
+one-sided error estimate.  The solve starts at J = 8 and doubles J for
+the widths whose estimate exceeds 1e-10 relative, up to J_MAX = 256,
+which resolves every w up to about 200 (w = 300 is not).  At the cap a
+width that is still unresolved keeps its J_MAX value and an
+ExtrapolationWarning gives its estimate.  Widths up to about 3.89 (all
+but the widest collars of a report) stop at J = 8 and take one 16 x 16
+and one 8 x 8 eigensolve (about 25 and 13 us for one width on an x86_64
+core).  Widths up to about 8.1 go on to J = 16, one 32 x 32 and one
+16 x 16 solve more (about 65 and 25 us); every width past the J = 8
+round runs the rounds a J = 16 start would run, on the same matrices.
+The largest solve, a 512 x 512 matrix on 2080 nodes, costs about 1.7 s and
 80 MB the first time (for the quadrature nodes) and 40 ms after that.
 A result more than 1e-9 relative below the floor cannot come from a
 correct solve and raises ArithmeticError.
@@ -50,7 +54,7 @@ import warnings
 
 import numpy as np
 
-J_START = 16
+J_START = 8
 J_MAX = 256
 RITZ_RTOL = 1e-10
 # matrix entries per stacked eigensolve: bounds the memory of a batch
@@ -65,7 +69,7 @@ class ExtrapolationWarning(UserWarning):
 def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes s_q on [0, 1] and weights times cos(m pi s_q), m < 2n.
 
-    Cached per basis size; the solve uses at most the five sizes
+    Cached per basis size; the solve uses at most the six sizes
     2 * J_START ... 2 * J_MAX.  The arrays are read-only.
     """
     # imported here so that importing the package does not load numpy.polynomial

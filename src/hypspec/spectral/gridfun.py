@@ -132,6 +132,20 @@ class CollarGridFunction:
     def __post_init__(self):
         _require_positive_finite("ell", self.ell)
         _require_positive_finite("half_width", self.half_width)
+        # the nodes must be those _grid builds for this width: walls and
+        # regions are found on them
+        w, rho = self.half_width, np.asarray(self.rho)
+        ends = (-w - 1.0, w + 1.0) if self.has_shell else (-w, w)
+        if (
+            rho.ndim != 1
+            or rho.size < 2
+            or (rho[0], rho[-1]) != ends
+            or (self.has_shell and not (-w in rho and w in rho))
+        ):
+            shell = "with" if self.has_shell else "without"
+            raise ValueError(
+                f"rho nodes do not span the collar of half_width={w!r} {shell} its shell"
+            )
         # C order, so a stack's radial rows read as one flat run (_radial_diff)
         for name in ("radial", "circular"):
             factor = np.array(getattr(self, name), dtype=float, order="C")

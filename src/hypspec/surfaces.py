@@ -155,18 +155,21 @@ def _structural_violations(genus, vertices, edges) -> list[str]:
     return problems
 
 
-def validate_description(desc: dict) -> list[str]:
-    """Structural violations of a JSON-style surface description (empty = valid)."""
+def _read_description(desc: dict) -> tuple[list[str], int, list[str], list[Edge]]:
+    """Violations of a description, with the genus, vertices and edges read from it.
+
+    Each edge is built once, for the checks and for the surface alike.
+    """
     problems: list[str] = []
     for key in ("genus", "vertices", "edges"):
         if key not in desc:
             problems.append(f"missing field {key!r}")
     if problems:
-        return problems
+        return problems, 0, [], []
     try:
         genus = int(desc["genus"])
     except (TypeError, ValueError):
-        return [f"genus is not an integer: {desc['genus']!r}"]
+        return [f"genus is not an integer: {desc['genus']!r}"], 0, [], []
     vertices = [str(v) for v in desc["vertices"]]
     edges = []
     for i, raw in enumerate(desc["edges"]):
@@ -183,9 +186,12 @@ def validate_description(desc: dict) -> list[str]:
                 label=str(raw["label"]),
             )
         )
-    if problems:
-        return problems
-    return _structural_violations(genus, vertices, edges)
+    return problems or _structural_violations(genus, vertices, edges), genus, vertices, edges
+
+
+def validate_description(desc: dict) -> list[str]:
+    """Structural violations of a JSON-style surface description (empty = valid)."""
+    return _read_description(desc)[0]
 
 
 def build_from_description(desc: dict) -> PantsSurface:
@@ -195,28 +201,13 @@ def build_from_description(desc: dict) -> PantsSurface:
     the offending element) when the description is not a closed
     genus-g pants decomposition.
     """
-    problems = validate_description(desc)
+    problems, genus, vertices, edges = _read_description(desc)
     if problems:
         raise InvalidSurfaceError(problems)
-    edges = tuple(
-        sorted(
-            (
-                Edge(
-                    a=str(raw["a"]),
-                    b=str(raw["b"]),
-                    length=float(raw["length"]),
-                    twist=float(raw.get("twist", 0.0)),
-                    label=str(raw["label"]),
-                )
-                for raw in desc["edges"]
-            ),
-            key=lambda e: e.label,
-        )
-    )
     return PantsSurface(
-        genus=int(desc["genus"]),
-        vertices=tuple(str(v) for v in desc["vertices"]),
-        edges=edges,
+        genus=genus,
+        vertices=tuple(vertices),
+        edges=tuple(sorted(edges, key=lambda e: e.label)),
     )
 
 

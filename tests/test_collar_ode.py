@@ -175,12 +175,40 @@ def test_ritz_values_fall_as_the_basis_grows():
     # converged
     widths = np.array([1.0, 4.0, 12.0, 30.0, 100.0])
     previous = None
-    for j in (16, 32, 64, 128):
+    for j in (8, 16, 32, 64, 128):
         coarse, fine = collar_ode._ritz_pair(widths, j)
         assert np.all(fine <= coarse * (1 + 1e-13))
         if previous is not None:
             assert np.all(coarse <= previous * (1 + 1e-13))
         previous = fine
+
+
+@pytest.mark.parametrize(
+    "w, schedule",
+    [(1.7, [8]), (2.3, [8]), (3.0, [8]), (3.85, [8]), (4.38, [8, 16]), (8.0, [8, 16])],
+)
+def test_basis_schedule(monkeypatch, w, schedule):
+    # J = 8 meets RITZ_RTOL up to w ~ 3.89, which holds every report width
+    # but the widest; wider collars double once more
+    seen = []
+    ritz_pair = collar_ode._ritz_pair
+
+    def recording(widths, j):
+        seen.append(j)
+        return ritz_pair(widths, j)
+
+    monkeypatch.setattr(collar_ode, "_ritz_pair", recording)
+    collar_dirichlet_lambda1_batch([w])
+    assert seen == schedule
+
+
+def test_values_match_a_larger_basis():
+    # every width stops at a basis whose value agrees with the J = 32
+    # solve far inside the 1e-10 contract
+    widths = np.linspace(0.2, 9.0, 201)
+    values, _ = collar_dirichlet_lambda1_batch(widths)
+    reference = collar_ode._ritz_pair(widths, 32)[1]
+    assert np.all(np.abs(values - reference) <= 1e-12 * reference)
 
 
 def test_batch_equals_scalar_wrapper_bit_for_bit():
@@ -207,7 +235,7 @@ def test_warning_fires_only_at_the_basis_cap(monkeypatch):
     monkeypatch.setattr(collar_ode, "J_MAX", 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ExtrapolationWarning)
-        collar_dirichlet_lambda1_batch([2.0])  # resolved at J = 16
+        collar_dirichlet_lambda1_batch([2.0])  # resolved at J = 8
     with pytest.warns(ExtrapolationWarning, match=r"half_width=12\.0 .*error estimate") as caught:
         values, estimates = collar_dirichlet_lambda1_batch([2.0, 12.0])
     assert len(caught) == 1

@@ -272,6 +272,31 @@ def test_grid_function_shape_checks():
         _sample(lambda r: r, n_t=2)
 
 
+def test_grid_nodes_must_belong_to_the_collar():
+    # walls and regions are read off the nodes, so nodes built for another
+    # width or shell setting are refused before any energy is taken
+    def make(half_width, has_shell, rho, t):
+        return CollarGridFunction(
+            ELL, half_width, has_shell, rho, t, np.ones((rho.size, 1)), np.ones((1, t.size))
+        )
+
+    plain, shell = _grid(1.0, False, 32, 8), _grid(1.0, True, 32, 8)
+    make(1.0, False, *plain)
+    make(1.0, True, *shell)
+    for half_width, has_shell, (rho, t) in [
+        (2.0, False, plain),  # walls would land on +-1
+        (1.0, True, plain),  # shell energies failed with IndexError
+        (2.0, True, plain),
+        (1.0, False, shell),
+        (2.0, True, shell),
+        (1.0, True, (np.linspace(-2.0, 2.0, 36), shell[1])),  # +-w not nodes
+        (1.0, False, (plain[0][None, :], plain[1])),
+        (1.0, False, (plain[0][:1], plain[1])),
+    ]:
+        with pytest.raises(ValueError, match="rho nodes do not span"):
+            make(half_width, has_shell, rho, t)
+
+
 # -------------------------------------------------------------------
 # stacks of functions on one grid
 # -------------------------------------------------------------------

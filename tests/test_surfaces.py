@@ -122,6 +122,52 @@ def test_build_from_description_raises_with_all_violations():
     assert len(err.value.violations) >= 2
 
 
+def _broken_descriptions():
+    good = surface_to_dict(chain(3))
+    yield {"vertices": good["vertices"]}, [
+        "missing field 'genus'",
+        "missing field 'edges'",
+    ]
+    yield {**good, "genus": "three"}, ["genus is not an integer: 'three'"]
+    broken = json.loads(json.dumps(good))
+    del broken["edges"][1]["length"], broken["edges"][3]["a"]
+    yield broken, ["edge #1 missing fields ['length']", "edge #3 missing fields ['a']"]
+    broken = json.loads(json.dumps(good))
+    broken["edges"][0]["length"] = -1.0
+    broken["edges"][1]["label"] = broken["edges"][2]["label"]
+    label0, label2 = broken["edges"][0]["label"], broken["edges"][2]["label"]
+    yield broken, [
+        f"duplicate edge labels: [{label2!r}]",
+        f"edge {label0!r} has non-positive or non-finite length -1.0",
+    ]
+
+
+def test_build_raises_exactly_the_validation_list():
+    for desc, want in _broken_descriptions():
+        assert validate_description(desc) == want
+        with pytest.raises(InvalidSurfaceError) as err:
+            build_from_description(desc)
+        assert err.value.violations == want
+        assert str(err.value) == "; ".join(want)
+
+
+def test_build_reads_each_edge_once(monkeypatch):
+    import hypspec.surfaces as surfaces
+
+    desc = surface_to_dict(chain(5))
+    built = []
+
+    class CountingEdge(surfaces.Edge):
+        def __init__(self, **fields):
+            built.append(fields["label"])
+            super().__init__(**fields)
+
+    monkeypatch.setattr(surfaces, "Edge", CountingEdge)
+    surface = build_from_description(desc)
+    assert sorted(built) == sorted(e["label"] for e in desc["edges"])
+    assert [e.label for e in surface.edges] == sorted(built)
+
+
 def test_disconnected_description_is_rejected():
     # two handcuffs glued nowhere: right counts, wrong topology
     desc = {
