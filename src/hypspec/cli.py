@@ -5,26 +5,23 @@ emitted with sorted keys, CSV with 12 significant digits, and nothing
 carries timestamps or machine identifiers.  Exit codes: 0 success,
 2 invalid input, 3 inadmissible epsilon without --force-epsilon,
 4 verification failure.
+
+Each command imports the spectral modules and :mod:`hypspec.verify`
+only when it runs, so ``build``, ``geometry``, ``cuts`` and
+``--version`` load no numpy, and ``bounds``, ``spectrum`` and
+``thickthin`` load none of the ``verify`` machinery.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from . import __version__, verify
+from . import __version__
 from .collars import collar_volume, max_half_width, modified_half_width, shell_volume
 from .cuts import bers_upper_bound, make_multicut, min_separating_length
-from .spectral import (
-    NetworkBuildError,
-    assemble_report,
-    build_network,
-    network_lambda1,
-    scaling_rows_to_csv,
-    scaling_study,
-)
-from .spectral.report import collar_modes
 from .surfaces import (
     ChainFamilyParams,
     InvalidSurfaceError,
@@ -143,6 +140,9 @@ def cmd_cuts(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectral.network import NetworkBuildError, build_network, network_lambda1
+    from .spectral.report import collar_modes
+
     surface = _surface_from_args(args)
     ttd = decompose(surface, args.epsilon, force=args.force_epsilon)
     model_dict = None
@@ -172,6 +172,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .spectral.report import assemble_report
+
     surface = _surface_from_args(args)
     cut = None
     if args.cut:
@@ -187,6 +189,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    from .spectral.report import scaling_rows_to_csv, scaling_study
+
     genus_list = [int(tok) for tok in args.genus_list.split(",") if tok]
     if not genus_list:
         raise ValueError("--genus-list must name at least one genus")
@@ -198,6 +202,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_checks(args.seed)
     lines = [f"{name}: {passed}/{total}" for name, passed, total in results]
     ok = sum(passed == total for _, passed, total in results)
@@ -210,6 +216,8 @@ def cmd_verify(args) -> int:
 # parser
 # -------------------------------------------------------------------
 
+# built once per process: in-process callers run main() many times
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypspec",

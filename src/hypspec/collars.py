@@ -17,13 +17,17 @@ and a single pair is a call on scalars.  The kernel compares only two
 deck translates of the second point, those shifted by floor and ceil of
 the t-difference: the distance grows with the size of the shift, and
 the nearest integer to the t-difference is always one of the two.
+The two array functions import numpy when called, so importing this
+module, or using only its closed forms, loads no numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def max_half_width(length: float) -> float:
@@ -101,6 +105,8 @@ def collar_distances(rho1, t1, rho2, t2, length) -> np.ndarray:
     with the shift |s| = |base - k|, and the nearest integer to base is
     one of them.
     """
+    import numpy as np
+
     theta1 = 2.0 * np.arctan(np.exp(np.negative(rho1)))
     theta2 = 2.0 * np.arctan(np.exp(np.negative(rho2)))
     x1, y1 = np.cos(theta1), np.sin(theta1)
@@ -132,6 +138,8 @@ def shell_detour_lengths(rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.nda
     distance grows with the translate's shift, so the nearest one is
     always among them.
     """
+    import numpy as np
+
     rho1 = np.asarray(rho1, dtype=float)
     rho2 = np.asarray(rho2, dtype=float)
     if np.any(rho1 < 0.0) or np.any(rho2 < 0.0):

@@ -159,11 +159,16 @@ def _read_description(desc: dict) -> tuple[list[str], int, list[str], list[Edge]
     """Violations of a description, with the genus, vertices and edges read from it.
 
     Each edge is built once, for the checks and for the surface alike.
+    A field of the wrong type is listed as a violation, never raised.
     """
+    if not isinstance(desc, dict):
+        return ["surface description is not an object"], 0, [], []
     problems: list[str] = []
     for key in ("genus", "vertices", "edges"):
         if key not in desc:
             problems.append(f"missing field {key!r}")
+        elif key != "genus" and not isinstance(desc[key], (list, tuple)):
+            problems.append(f"{key} is not a list")
     if problems:
         return problems, 0, [], []
     try:
@@ -173,16 +178,27 @@ def _read_description(desc: dict) -> tuple[list[str], int, list[str], list[Edge]
     vertices = [str(v) for v in desc["vertices"]]
     edges = []
     for i, raw in enumerate(desc["edges"]):
+        if not isinstance(raw, dict):
+            problems.append(f"edge #{i} is not an object")
+            continue
         missing = [k for k in ("a", "b", "length", "label") if k not in raw]
         if missing:
             problems.append(f"edge #{i} missing fields {missing}")
+            continue
+        numbers = {}
+        for key, value in (("length", raw["length"]), ("twist", raw.get("twist", 0.0))):
+            try:
+                numbers[key] = float(value)
+            except (TypeError, ValueError):
+                problems.append(f"edge #{i} has non-numeric {key} {value!r}")
+        if len(numbers) < 2:
             continue
         edges.append(
             Edge(
                 a=str(raw["a"]),
                 b=str(raw["b"]),
-                length=float(raw["length"]),
-                twist=float(raw.get("twist", 0.0)),
+                length=numbers["length"],
+                twist=numbers["twist"],
                 label=str(raw["label"]),
             )
         )

@@ -17,8 +17,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .collars import Collar, collar_volume, max_half_width, modified_half_width, shell_volume
 from .surfaces import PantsSurface, connected_components
 
@@ -77,6 +75,9 @@ def epsilon_admissible(epsilon: float) -> EpsilonChecklist:
     The checklist is frozen, so it is computed once per ``epsilon`` and
     repeat calls return the same object.
     """
+    # imported here so that importing this module does not load numpy
+    import numpy as np
+
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     width_value = max_half_width(epsilon) - 2.0

@@ -189,6 +189,29 @@ def test_exit_code_missing_file(capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["edges"][0].update(length=None), "edge #0 has non-numeric length None"),
+        (lambda d: d["edges"][0].update(twist=None), "edge #0 has non-numeric twist None"),
+        (lambda d: d["edges"][0].update(length="abc"), "edge #0 has non-numeric length 'abc'"),
+        (lambda d: d.update(edges=[1]), "edge #0 is not an object"),
+        (lambda d: d.update(vertices=5), "vertices is not a list"),
+    ],
+    ids=["null-length", "null-twist", "text-length", "edge-not-object", "vertices-not-list"],
+)
+def test_exit_code_malformed_surface_file(tmp_path, capsys, edit, message):
+    _, out, _ = run(capsys, "build", *CHAIN10)
+    desc = json.loads(out)
+    edit(desc)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "bounds", "--input", str(path))
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_exit_code_bad_genus_list(capsys):
     code, _, err = run(
         capsys, "scaling", "--genus-list", ",", "--length", "0.09"
@@ -262,14 +285,137 @@ SPECTRAL_API = [
 
 
 def test_public_api_is_the_listed_names():
-    # adding or removing a public name must be a deliberate edit of these lists
+    # adding or removing a public name must be a deliberate edit of these lists;
+    # the package resolves its names lazily, so they are read from dir(), not
+    # from vars(), which holds only the names resolved so far
     public = [
         name
-        for name, value in vars(hypspec).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(hypspec)
+        if not name.startswith("_") and not isinstance(getattr(hypspec, name), types.ModuleType)
     ]
     assert sorted(public) == sorted(PUBLIC_API)
     assert sorted(hypspec.spectral.__all__) == sorted(SPECTRAL_API)
+
+
+@pytest.mark.parametrize(
+    "package, names", [("hypspec", PUBLIC_API), ("hypspec.spectral", SPECTRAL_API)]
+)
+def test_lazy_names_behave_like_eager_imports(package, names):
+    module = sys.modules[package]
+    for name in names:
+        value = getattr(module, name)
+        home = "hypspec.thickthin" if name == "DEFAULT_EPSILON" else value.__module__
+        assert home.startswith("hypspec.") and getattr(sys.modules[home], name) is value
+        assert name not in vars(module)  # looked up on every access, never copied
+    star = {}
+    exec(f"from {package} import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(names)
+    assert set(names) <= set(dir(module))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
+
+
+def test_a_patch_of_the_defining_module_is_seen_through_the_package(monkeypatch):
+    def patched(*args, **kwargs):
+        raise AssertionError("unused")
+
+    monkeypatch.setattr(hypspec.spectral.report, "assemble_report", patched)
+    assert hypspec.assemble_report is patched
+    assert hypspec.spectral.assemble_report is patched
+
+
+def _fresh_python(script, *args):
+    """Stdout of ``script`` run with ``args`` in a new interpreter on this package."""
+    package_root = str(Path(hypspec.verify.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _fresh_cli(*argv):
+    """(exit code, stdout, loaded module names) of ``hypspec argv`` in a new interpreter."""
+    script = (
+        "import contextlib, io, json, runpy, sys\n"
+        "sys.argv = ['hypspec', *sys.argv[1:]]\n"
+        "out = io.StringIO()\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runpy.run_module('hypspec.cli', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    code = done.code\n"
+        "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))\n"
+    )
+    code, out, modules = json.loads(_fresh_python(script, *argv))
+    return code, out, set(modules)
+
+
+NUMPY_FREE_COMMANDS = [
+    ("--version",),
+    ("build", *CHAIN10),
+    ("geometry", *CHAIN10),
+    ("cuts", *CHAIN10, "--i", "1"),
+]
+REPORT_COMMANDS = [("thickthin", *CHAIN10), ("spectrum", *CHAIN10), ("bounds", *CHAIN10)]
+FRESH_COMMANDS = NUMPY_FREE_COMMANDS + REPORT_COMMANDS + [
+    ("cuts", *CHAIN10, "--i", "2"),
+    ("scaling", "--genus-list", "4,8", "--length", "0.09"),
+    ("verify", "--seed", "42"),
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_runs():
+    return {argv: _fresh_cli(*argv) for argv in FRESH_COMMANDS}
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_a_fresh_combinatorial_command_never_loads_numpy(fresh_runs, argv):
+    code, _, modules = fresh_runs[argv]
+    assert code == EXIT_OK
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
+def test_a_fresh_report_command_never_loads_the_verify_modules(fresh_runs, argv):
+    code, _, modules = fresh_runs[argv]
+    assert code == EXIT_OK
+    verify_modules = {
+        "hypspec.verify", "hypspec.intervals", "hypspec.spectral.gridfun",
+        "hypspec.spectral.corpus",
+    }
+    assert not modules & verify_modules
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    script = (
+        "import sys, hypspec\n"
+        "print(sorted(m for m in sys.modules if 'hypspec' in m))\n"
+        "print(hypspec.cuts.__name__, hypspec.spectral.network.__name__)\n"
+    )
+    # a submodule is still reachable as an attribute, as under eager imports
+    assert _fresh_python(script) == "['hypspec']\nhypspec.cuts hypspec.spectral.network\n"
+
+
+def test_in_process_calls_print_what_fresh_processes_print(fresh_runs, capsys):
+    # main() builds its parser once per process; every command run after
+    # another must still print what it prints in a process of its own
+    from hypspec.cli import _build_parser
+
+    for argv in FRESH_COMMANDS * 2:
+        try:
+            code = main(list(argv))
+        except SystemExit as done:
+            code = done.code
+        out = capsys.readouterr().out
+        assert (code, out) == fresh_runs[argv][:2], argv
+    assert _build_parser() is _build_parser()
 
 
 def test_verify_draws_shell_detours_in_whole_array_rounds(capsys, monkeypatch):
@@ -410,28 +556,12 @@ def test_energy_and_interval_checks_pass_in_full_on_fifty_seeds():
     assert failing == {}
 
 
-def test_a_fresh_verify_never_imports_numpy_ma():
+def test_a_fresh_verify_never_imports_numpy_ma(fresh_runs):
     # numpy.ma adds 12-20 ms of import to a fresh process; np.unique pulls it in
-    script = (
-        "import runpy, sys\n"
-        "sys.argv = ['hypspec', 'verify', '--seed', '42']\n"
-        "try:\n"
-        "    runpy.run_module('hypspec.cli', run_name='__main__')\n"
-        "except SystemExit as done:\n"
-        "    print(done.code, 'numpy.ma' in sys.modules)\n"
-    )
-    package_root = str(Path(hypspec.verify.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": package_root},
-    )
-    assert done.returncode == 0, done.stderr
-    *printed, last = done.stdout.splitlines()
-    assert "\n".join(printed) + "\n" == VERIFY_SEED_42
-    assert last == "0 False"
+    code, out, modules = fresh_runs["verify", "--seed", "42"]
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42
+    assert "numpy.ma" not in modules
 
 
 def test_exit_code_verify_failed(capsys, monkeypatch):

@@ -151,6 +151,45 @@ def test_build_raises_exactly_the_validation_list():
         assert str(err.value) == "; ".join(want)
 
 
+def _malformed(path, value):
+    """The genus-3 chain's description with one field replaced by ``value``."""
+    desc = surface_to_dict(chain(3))
+    *parents, key = path
+    target = desc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    return desc
+
+
+@pytest.mark.parametrize(
+    "path, value, want",
+    [
+        (("edges", 0, "length"), None, "edge #0 has non-numeric length None"),
+        (("edges", 0, "twist"), None, "edge #0 has non-numeric twist None"),
+        (("edges", 0, "length"), "abc", "edge #0 has non-numeric length 'abc'"),
+        (("edges", 1), 1, "edge #1 is not an object"),
+        (("vertices",), 5, "vertices is not a list"),
+        (("edges",), {"a": 1}, "edges is not a list"),
+    ],
+    ids=["null-length", "null-twist", "text-length", "edge-not-object",
+         "vertices-not-list", "edges-not-list"],
+)
+def test_malformed_fields_are_listed_not_raised(path, value, want):
+    desc = _malformed(path, value)
+    assert validate_description(desc) == [want]
+    with pytest.raises(InvalidSurfaceError) as err:
+        build_from_description(desc)
+    assert err.value.violations == [want]
+
+
+def test_a_description_that_is_not_an_object_is_listed():
+    for desc in ([], 5, "surface"):
+        assert validate_description(desc) == ["surface description is not an object"]
+        with pytest.raises(InvalidSurfaceError):
+            load_surface(json.dumps(desc))
+
+
 def test_build_reads_each_edge_once(monkeypatch):
     import hypspec.surfaces as surfaces
 
