@@ -9,16 +9,25 @@ half-width w - 2 leaves a unit-width shell inside the thick part just
 outside the collar.  All closed forms below are exercised against an
 independent high-precision oracle in the tests.
 
-Distances between collar points come from one array kernel,
-:func:`collar_distances`, which :func:`shell_detour_lengths` calls: it
+Distances between collar points have the closed form
+
+    d = 2 asinh(sqrt(sinh^2((rho1 - rho2) / 2)
+                     + cosh(rho1) cosh(rho2) sinh^2(l s / 2))),
+
+with s = |dt - round(dt)| the t-shift to the nearest deck translate of
+the second point (dt = t2 - t1).  It is cosh d = cosh rho1 cosh rho2
+cosh(l s) - sinh rho1 sinh rho2 rewritten with cosh x - 1 = 2 sinh^2(x/2);
+every term under the root is nonnegative, so nothing cancels: on
+verify's sampler law the distance is within 5e-16 relative of 50-digit
+values, and equal points are at distance exactly 0 (arccosh(1 + x), by
+contrast, loses about eps / d absolute as d -> 0).  The array kernel
+:func:`collar_distances`, which :func:`shell_detour_lengths` shares,
 takes broadcastable numpy arrays of Fermi coordinates and evaluates
 them all at once, so a sampler can test thousands of pairs in one call,
-and a single pair is a call on scalars.  The kernel compares only two
-deck translates of the second point, those shifted by floor and ceil of
-the t-difference: the distance grows with the size of the shift, and
-the nearest integer to the t-difference is always one of the two.
-The two array functions import numpy when called, so importing this
-module, or using only its closed forms, loads no numpy.
+and a single pair is a call on scalars.  Both reject a length that is
+not positive and finite and coordinates that are not finite.  The two
+array functions import numpy when called, so importing this module, or
+using only its closed forms, loads no numpy.
 """
 from __future__ import annotations
 
@@ -92,36 +101,71 @@ class Collar:
 # distances
 # -------------------------------------------------------------------
 
+def _finite_array(name: str, value, positive: bool = False) -> np.ndarray:
+    """``value`` as a float array; ValueError naming ``name`` at its first bad entry."""
+    import numpy as np
+
+    value = np.asarray(value, dtype=float)
+    ok = np.isfinite(value)
+    if positive:
+        ok &= value > 0.0
+    if not ok.all():
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {float(value[~ok][0])}")
+    return value
+
+
+def _checked_pairs(rho1, t1, rho2, t2, length) -> tuple[np.ndarray, ...]:
+    """The arguments of the distance kernels as float arrays, each checked."""
+    return (
+        _finite_array("rho1", rho1),
+        _finite_array("t1", t1),
+        _finite_array("rho2", rho2),
+        _finite_array("t2", t2),
+        _finite_array("length", length, positive=True),
+    )
+
+
+def _shift(t1, t2) -> np.ndarray:
+    """s = |dt - round(dt)| in [0, 1/2]: the t-shift to the nearest deck translate."""
+    import numpy as np
+
+    dt = t2 - t1
+    return np.abs(dt - np.round(dt))
+
+
+def _distances(rho1, cosh_rho1, rho2, shift, length) -> np.ndarray:
+    """The closed-form distance of the module docstring, given cosh rho1 and s."""
+    import numpy as np
+
+    radial = np.sinh(0.5 * (rho1 - rho2))
+    circular = np.sinh(0.5 * length * shift)
+    return 2.0 * np.arcsinh(
+        np.sqrt(radial * radial + cosh_rho1 * np.cosh(rho2) * (circular * circular))
+    )
+
+
 def collar_distances(rho1, t1, rho2, t2, length) -> np.ndarray:
     """Geodesic distances between collar points, element-wise over arrays.
 
-    The collar lifts to the upper half-plane with the core on the unit
-    circle: the point (rho, t) sits at r e^{i theta} with
-    theta = 2 arctan(e^{-rho}) and r = e^{l t}, and the deck group is
-    z -> e^{k l} z.  The first point is placed at t = 0, the second at
-    t = base - k with base = t2 - t1, and the distance is minimized over
-    k in {floor(base), ceil(base)}.  Those two candidates suffice:
-    cosh d = cosh rho1 cosh rho2 cosh(l s) - sinh rho1 sinh rho2 grows
-    with the shift |s| = |base - k|, and the nearest integer to base is
-    one of them.
+    The points (rho1, t1) and (rho2, t2) may lie on either side of the
+    core; the distance is taken to the nearest deck translate of the
+    second point (see the module docstring for the formula).
     """
     import numpy as np
 
-    theta1 = 2.0 * np.arctan(np.exp(np.negative(rho1)))
-    theta2 = 2.0 * np.arctan(np.exp(np.negative(rho2)))
-    x1, y1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    base = np.subtract(t2, t1)
+    rho1, t1, rho2, t2, length = _checked_pairs(rho1, t1, rho2, t2, length)
+    return _distances(rho1, np.cosh(rho1), rho2, _shift(t1, t2), length)
 
-    def distance_to_translate(k):
-        r2 = np.exp(length * (base - k))
-        y2 = r2 * s2
-        gap_sq = np.hypot(x1 - r2 * c2, y1 - y2) ** 2
-        return np.arccosh(1.0 + gap_sq / (2.0 * y1 * y2))
 
-    return np.minimum(
-        distance_to_translate(np.floor(base)), distance_to_translate(np.ceil(base))
-    )
+def _shell_pairs(rho1, cosh_rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.ndarray]:
+    """(direct, detour) of :func:`shell_detour_lengths` on checked input, given cosh rho1."""
+    import numpy as np
+
+    shift = _shift(t1, t2)
+    direct = _distances(rho1, cosh_rho1, rho2, shift, length)
+    detour = shift * length * cosh_rho1 + np.abs(rho2 - rho1)
+    return direct, detour
 
 
 def shell_detour_lengths(rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.ndarray]:
@@ -130,23 +174,16 @@ def shell_detour_lengths(rho1, rho2, t1, t2, length) -> tuple[np.ndarray, np.nda
     The arguments broadcast against each other like numpy arrays, and
     element j describes the pair (rho1, t1), (rho2, t2) on a collar of
     core length ``length``.  The detour follows the equidistant circle
-    at rho1 (arc length |dt| l cosh rho1, with dt the circular
-    t-difference) and then the radial segment |rho2 - rho1|.  For
-    admissible shells and pairs at direct distance <= epsilon the
-    detour is at most 5x direct.  The direct distance minimizes over
-    the two deck translates floor(t2 - t1) and ceil(t2 - t1) only: the
-    distance grows with the translate's shift, so the nearest one is
-    always among them.
+    at rho1 (arc length s l cosh rho1, with s the circular t-difference
+    of the module docstring) and then the radial segment |rho2 - rho1|.
+    For admissible shells and pairs at direct distance <= epsilon the
+    detour is at most 5x direct.  A negative rho, a coordinate that is
+    not finite or a length that is not positive and finite raises
+    ValueError.
     """
     import numpy as np
 
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
+    rho1, t1, rho2, t2, length = _checked_pairs(rho1, t1, rho2, t2, length)
     if np.any(rho1 < 0.0) or np.any(rho2 < 0.0):
         raise ValueError("shell points must lie on one side of the core (rho >= 0)")
-    direct = collar_distances(rho1, t1, rho2, t2, length)
-    dt = np.abs(np.subtract(t1, t2)) % 1.0
-    dt = np.minimum(dt, 1.0 - dt)
-    detour = dt * length * np.cosh(rho1) + np.abs(rho2 - rho1)
-    return direct, detour
-
+    return _shell_pairs(rho1, np.cosh(rho1), rho2, t1, t2, length)

@@ -17,10 +17,10 @@ import math
 import numpy as np
 
 from .collars import (
+    _shell_pairs,
     collar_volume,
     max_half_width,
     modified_half_width,
-    shell_detour_lengths,
     shell_volume,
 )
 from .intervals import cut_inequality_verdicts, find_cut_indices, random_interval_systems
@@ -91,8 +91,9 @@ def sample_shell_detours(
     each attempt has the law U(0,1), U(0,1), N(0,1), N(0,1), as if drawn
     on its own; only which values land in which attempt depends on the
     round sizes.  Attempt k (counted from 1) uses shell ``k % 3``, and
-    the round is turned into points and tested at once with
-    :func:`shell_detour_lengths`.
+    the round is turned into points and tested at once with the kernel
+    of :func:`hypspec.collars.shell_detour_lengths`, which reuses the
+    cosh rho1 that scaled the t offsets.
     """
     ells = np.array([0.02, 0.05, 0.09])
     widths = np.array([modified_half_width(ell) for ell in ells.tolist()])
@@ -107,9 +108,10 @@ def sample_shell_detours(
         attempts += n
         ell, w = ells[shell], widths[shell]
         rho1 = w + u
+        cosh_rho1 = np.cosh(rho1)
         rho2 = np.minimum(w + 1.0, np.maximum(w, rho1 + 0.02 * z_rho))
-        t2 = (t1 + 0.02 / (ell * np.cosh(rho1)) * z_t) % 1.0
-        direct, detour = shell_detour_lengths(rho1, rho2, t1, t2, ell)
+        t2 = (t1 + 0.02 / (ell * cosh_rho1) * z_t) % 1.0
+        direct, detour = _shell_pairs(rho1, cosh_rho1, rho2, t1, t2, ell)
         keep = (direct > 0.0) & (direct <= 0.05)
         end = accepted + int(np.count_nonzero(keep))
         directs[accepted:end], detours[accepted:end] = direct[keep], detour[keep]

@@ -393,6 +393,23 @@ def test_a_fresh_report_command_never_loads_the_verify_modules(fresh_runs, argv)
     assert not modules & verify_modules
 
 
+SPECTRAL_COMMANDS = [
+    ("spectrum", *CHAIN10),
+    ("bounds", *CHAIN10),
+    ("scaling", "--genus-list", "4,8", "--length", "0.09"),
+    ("verify", "--seed", "42"),
+]
+
+
+@pytest.mark.parametrize("argv", SPECTRAL_COMMANDS, ids=" ".join)
+def test_a_fresh_spectral_command_never_loads_numpy_polynomial(fresh_runs, argv):
+    # the collar solve's Gauss-Legendre rule is computed in hypspec itself
+    code, _, modules = fresh_runs[argv]
+    assert code == EXIT_OK
+    assert "hypspec.spectral.collar_ode" in modules
+    assert not {m for m in modules if m.startswith("numpy.polynomial")}
+
+
 def test_importing_the_package_loads_none_of_its_modules():
     script = (
         "import sys, hypspec\n"

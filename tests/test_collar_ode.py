@@ -15,6 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -209,6 +210,78 @@ def test_values_match_a_larger_basis():
     values, _ = collar_dirichlet_lambda1_batch(widths)
     reference = collar_ode._ritz_pair(widths, 32)[1]
     assert np.all(np.abs(values - reference) <= 1e-12 * reference)
+
+
+def mp_gauss_node(n, x):
+    """40-digit Gauss-Legendre node of P_n polished from ``x``, and its weight.
+
+    Two Newton steps on the recurrence carry a float node past 40
+    digits; the weight 2 / ((1 - x^2) P_n'(x)^2) is taken before the
+    last step, within about 1e-26 relative of its value at the root.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        for _ in range(2):
+            prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+            dp = n * (prev - x * p) / (1 - x * x)
+            weight = 2 / ((1 - x * x) * dp * dp)
+            x -= p / dp
+        return x, weight
+
+
+@pytest.mark.parametrize("n", [96, 160, 288, 2080])
+def test_gauss_legendre_rule_matches_a_40_digit_reference(n):
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = collar_ode._gauss_legendre(n)
+    assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0)
+    assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+    numpy_w = leggauss(n)[1]
+    # the positive half, whole for the small rules; for the large ones its
+    # 8 innermost nodes (the finest ulps) and 16 outermost (the weights
+    # leggauss gets least right)
+    picks = list(range(n // 2, n))
+    if n > 160:
+        picks = picks[:8] + picks[-16:]
+    ours, numpys = [], []
+    for i in picks:
+        node, weight = mp_gauss_node(n, x[i])
+        # one ulp of the node on the outer half of [-1, 1]; nearer the
+        # middle, where the node's own ulp is finer than the recurrence's
+        # rounding, one ulp of 1/2
+        assert abs(float(x[i]) - node) <= np.spacing(max(x[i], 0.5)), (i, x[i])
+        ours.append(abs(float(w[i]) - weight) / weight)
+        numpys.append(abs(float(numpy_w[i]) - weight) / weight)
+    assert max(ours) <= max(numpys)
+
+
+def test_gauss_legendre_raises_past_its_newton_budget(monkeypatch):
+    # 96 nodes take three steps, and a fourth pass to see the last one is
+    # below the ulp of 1
+    monkeypatch.setattr(collar_ode, "_NEWTON_STEPS", 3)
+    with pytest.raises(ArithmeticError, match="n=96 did not converge"):
+        collar_ode._gauss_legendre(96)
+    monkeypatch.setattr(collar_ode, "_NEWTON_STEPS", 4)
+    collar_ode._gauss_legendre(96)
+
+
+@pytest.mark.parametrize("w", [1.0, 4.38, 12.0, 100.0])
+def test_moment_tables_match_mpmath_quad(w):
+    # int_0^1 sech^2(w s) cos(m pi s) ds from the J = 8 and J = 16 tables;
+    # at w = 100 the 96-point rule itself is off by 5.4e-15 (its exact
+    # nodes and weights give the same sum), and the solve goes past J = 8
+    breaks = sorted({*(k / 8 for k in range(9)), *(min(1.0, k / w) for k in (1, 4, 16))})
+    for j in (8, 16):
+        s, table = collar_ode._moment_table(2 * j)
+        decay = np.exp(-2.0 * w * s)
+        moments = (4.0 * decay / (1.0 + decay) ** 2) @ table
+        tolerance = 1e-14 if (w, j) == (100.0, 8) else 1e-15
+        with mpmath.workdps(20):
+            for m in (0, 1, 2, 3, 4 * j - 2, 4 * j - 1):
+                want = mpmath.quad(lambda t: mpmath.sech(w * t) ** 2 * mpmath.cospi(m * t), breaks)
+                assert abs(moments[m] - float(want)) <= tolerance, (j, m)
 
 
 def test_batch_equals_scalar_wrapper_bit_for_bit():

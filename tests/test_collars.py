@@ -146,6 +146,57 @@ def test_shell_detour_vs_direct():
         shell_detour_lengths(-0.1, 0.5, 0.0, 0.0, ell)
 
 
+def mp_collar_distance(rho1, t1, rho2, t2, length):
+    """50-digit distance through the upper half-plane lift of the collar.
+
+    The core lies on the unit circle, (rho, t) sits at e^{l t} e^{i theta}
+    with theta = 2 arctan(e^{-rho}), and the second point is tried at the
+    deck translates floor and ceil of t2 - t1.
+    """
+    ell = mpmath.mpf(length)
+
+    def lift(rho, t):
+        theta = 2 * mpmath.atan(mpmath.exp(-mpmath.mpf(rho)))
+        return mpmath.exp(ell * t) * mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
+
+    z1 = lift(rho1, 0)
+    base = mpmath.mpf(t2) - mpmath.mpf(t1)
+    return min(
+        mpmath.acosh(1 + abs(z1 - z2) ** 2 / (2 * z1.imag * z2.imag))
+        for z2 in (lift(rho2, base - mpmath.floor(base)), lift(rho2, base - mpmath.ceil(base)))
+    )
+
+
+def test_collar_distances_match_mpmath_to_1e_14():
+    # verify's sampler law: same-side shell pairs at distance ~0.02
+    rng = np.random.default_rng(3)
+    ells = np.array([0.02, 0.05, 0.09])[rng.integers(0, 3, 300)]
+    widths = np.array([modified_half_width(ell) for ell in ells.tolist()])
+    rho1 = widths + rng.random(300)
+    t1 = rng.random(300)
+    rho2 = np.minimum(widths + 1.0, np.maximum(widths, rho1 + 0.02 * rng.standard_normal(300)))
+    t2 = (t1 + 0.02 / (ells * np.cosh(rho1)) * rng.standard_normal(300)) % 1.0
+    pairs = list(zip(rho1.tolist(), t1.tolist(), rho2.tolist(), t2.tolist(), ells.tolist()))
+    # dt = 1/2; across the t = 0 seam (both ways); opposite sides of the
+    # core; far apart; on the core
+    pairs += [
+        (0.7, 0.25, 1.1, 0.75, 0.05),
+        (1.2, 0.96875, 1.25, 0.015625, 0.09),
+        (1.2, 0.015625, 1.25, 0.96875, 0.09),
+        (0.8, 0.2, -1.3, 0.45, 0.5),
+        (-2.5, 0.125, 2.75, 0.875, 1.0),
+        (3.0, 0.0, 0.25, 0.375, 0.02),
+        (0.0, 0.1, 0.0, 0.35, 0.05),
+    ]
+    got = collar_distances(*np.array(pairs).T)
+    for d, pair in zip(got.tolist(), pairs):
+        want = mp_collar_distance(*pair)
+        assert abs(d - want) <= 1e-14 * want, pair
+    # equal points, also one turn apart, are at distance exactly 0
+    rho, t = [0.4, -0.3, 0.4], [0.1, 0.7, 0.0]
+    assert collar_distances(rho, t, rho, [0.1, 0.7, 1.0], 0.05).tolist() == [0.0] * 3
+
+
 def test_collar_rejects_width_beyond_embedding_bound():
     with pytest.raises(ValueError):
         Collar(core_length=0.5, half_width=max_half_width(0.5) + 0.1)
@@ -294,13 +345,19 @@ def test_array_kernel_matches_scalar_reference(ell, pairs, flip):
     direct, detour = shell_detour_lengths(rho1, rho2, t1, t2, ell)
     assert direct.shape == detour.shape == (len(pairs),)
     for j, (r1, s1, r2, s2) in enumerate(pairs):
-        want_direct, want_detour = reference_shell_detour_length(r1, r2, s1, s2, ell)
-        assert direct[j] == pytest.approx(want_direct, rel=1e-9, abs=1e-12)
+        # distances against 50 digits (the float reference loses about
+        # eps / d absolute in its arccosh); the absolute slack is the
+        # rounding of t2 - t1, at most 2^-54 times a slope of at most
+        # l cosh 3 < 16
+        assert direct[j] == pytest.approx(
+            float(mp_collar_distance(r1, s1, r2, s2, ell)), rel=1e-14, abs=1e-15
+        )
+        _, want_detour = reference_shell_detour_length(r1, r2, s1, s2, ell)
         assert detour[j] == pytest.approx(want_detour, rel=1e-12, abs=1e-15)
         # the distance kernel, with the second point on either side of the core
         q = (-r2 if flip else r2, s2)
         assert collar_distances(r1, s1, *q, ell) == pytest.approx(
-            reference_collar_distance(r1, s1, *q, ell), rel=1e-9, abs=1e-12
+            float(mp_collar_distance(r1, s1, *q, ell)), rel=1e-14, abs=1e-15
         )
 
 
@@ -328,6 +385,29 @@ def test_shell_detour_lengths_rejects_one_negative_rho():
     for rho1, rho2 in ((rho, 0.6), (0.6, rho)):
         with pytest.raises(ValueError, match="one side of the core"):
             shell_detour_lengths(rho1, rho2, 0.0, 0.01, 0.05)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("length", -0.05),
+        ("length", 0.0),
+        ("length", math.nan),
+        ("length", math.inf),
+        ("rho1", math.nan),
+        ("rho2", math.inf),
+        ("t1", math.nan),
+        ("t2", -math.inf),
+        ("t2", np.array([0.12, math.nan])),
+    ],
+)
+def test_distance_kernels_reject_bad_input(name, value):
+    kind = "positive and finite" if name == "length" else "finite"
+    args = {"rho1": 1.0, "t1": 0.1, "rho2": 1.01, "t2": 0.12, "length": 0.05, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
+        shell_detour_lengths(args["rho1"], args["rho2"], args["t1"], args["t2"], args["length"])
+    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
+        collar_distances(**args)
 
 
 @pytest.mark.parametrize("seed", [*range(1, 11), 42])

@@ -33,10 +33,11 @@ def test_scaling_study_script_writes_the_cli_csv(tmp_path):
 
 
 def test_collar_limit_sweep_stays_above_the_floor():
-    out = run_script("collar_limit_sweep.py", "--widths", "1,2").stdout
+    # the default widths, out to w = 100 and its 512 x 512 solve
+    out = run_script("collar_limit_sweep.py").stdout
     header, *rows = out.splitlines()
     assert header == "half_width,lambda1,floor,excess_over_quarter"
-    assert [float(row.split(",")[0]) for row in rows] == [1.0, 2.0]
+    assert [float(row.split(",")[0]) for row in rows] == [1, 2, 4, 8, 12, 24, 50, 100]
     for row in rows:
         _, lam, floor, _ = (float(x) for x in row.split(","))
         assert lam >= floor
