@@ -3,10 +3,11 @@
 Surfaces are pants decompositions given combinatorially (a trivalent
 dual multigraph with a length per curve).  The package computes collar
 and thick-thin geometry, shortest separating curve systems, and three
-independent estimates of the first Laplace eigenvalue: exact Dirichlet
-spectra of collars, a mass/conductance network surrogate, and
-Rayleigh-quotient upper bounds — then assembles them into consistency
-reports and a genus-scaling study.
+independent estimates of the first Laplace eigenvalue: Ritz upper
+bounds on the first Dirichlet eigenvalue of each collar, a
+mass/conductance network surrogate, and Rayleigh-quotient upper
+bounds — then assembles them into consistency reports and a
+genus-scaling study.
 
 Importing the package loads none of its modules.  Each public name
 resolves on first access by importing the submodule that defines it

@@ -177,7 +177,10 @@ def cmd_bounds(args) -> int:
     surface = _surface_from_args(args)
     cut = None
     if args.cut:
-        cut = make_multicut(surface, args.cut.split(","))
+        try:
+            cut = make_multicut(surface, args.cut.split(","))
+        except KeyError as exc:  # an unknown label is an input error, not a crash
+            raise ValueError(exc.args[0]) from None
     report = assemble_report(
         surface,
         args.epsilon,

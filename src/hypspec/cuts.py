@@ -8,7 +8,11 @@ connected components.
 
 ``min_separating_length(method="auto")`` solves i = 1 exactly as a
 global minimum edge cut (bridges, then Stoer-Wagner on each
-2-edge-connected block) in polynomial time.  For i >= 2 it uses an
+2-edge-connected block) in polynomial time.  Before Stoer-Wagner runs,
+every block edge that outweighs the block's cheapest single-pants star,
+or the best cut found so far, is contracted: no minimum cut holds it
+(Padberg & Rinaldi, Math. Programming 47, 1990), so the optimum and its
+tie-break are unchanged (see ``_min_cut_global``).  For i >= 2 it uses an
 exhaustive bitmask scan up to 20 edges and a best-first
 branch-and-bound beyond, under a node budget.  Ties are exact ties of
 the summed lengths and break toward the lexicographically smallest
@@ -23,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .surfaces import PantsSurface
+from .surfaces import PantsSurface, _union_find
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 # Heap pushes allowed to one branch-and-bound search, which also caps the
@@ -49,25 +53,8 @@ def _canonical_length(surface: PantsSurface, labels) -> float:
 def component_count_after_removal(surface: PantsSurface, labels) -> int:
     """Connected components of the dual graph with the labeled edges removed."""
     removed = set(labels)
-    n = len(surface.vertices)
-    index = {v: i for i, v in enumerate(surface.vertices)}
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = n
-    for e in surface.edges:
-        if e.label in removed:
-            continue
-        ra, rb = find(index[e.a]), find(index[e.b])
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
+    kept = (k for k, e in enumerate(surface.edges) if e.label not in removed)
+    return len(set(surface._graph.roots(kept)))
 
 
 def make_multicut(surface: PantsSurface, labels) -> Multicut:
@@ -200,20 +187,20 @@ def _bridges_and_blocks(n: int, ends: list[tuple[int, int]]) -> tuple[list[int],
     return bridges, block
 
 
-def _stoer_wagner(block: list[int], ends, keys) -> tuple[int, set[int]]:
-    """Minimum cut value of a connected loop-free block and one side of it.
+def _stoer_wagner(weighted) -> tuple[int, set[int]]:
+    """Minimum cut value of a connected loop-free multigraph and one side of it.
 
-    Each phase grows a maximum-adjacency order with a lazy heap; the last
-    vertex t added gives the cut of the phase, its key weight to the rest,
-    and is then merged into the one before it (Stoer & Wagner, JACM 1997).
+    ``weighted`` lists the edges as (a, b, key) with a != b.  Each phase
+    grows a maximum-adjacency order with a lazy heap; the last vertex t
+    added gives the cut of the phase, its key weight to the rest, and is
+    then merged into the one before it (Stoer & Wagner, JACM 1997).
     """
     adj: dict[int, dict[int, int]] = {}
-    for k in block:
-        a, b = ends[k]
+    for a, b, key in weighted:
         adj.setdefault(a, {})
         adj.setdefault(b, {})
-        adj[a][b] = adj[a].get(b, 0) + keys[k]
-        adj[b][a] = adj[b].get(a, 0) + keys[k]
+        adj[a][b] = adj[a].get(b, 0) + key
+        adj[b][a] = adj[b].get(a, 0) + key
     members = {v: [v] for v in adj}
     best_value: int | None = None
     best_side: set[int] = set()
@@ -263,12 +250,39 @@ def _min_cut_global(surface: PantsSurface) -> Multicut:
     curves exceeds the incumbent's correctly rounded length: rounding is
     monotone, so the exact sums compare the same way.  The keys are only
     built when some block is not skipped.
+
+    Before Stoer-Wagner runs on a block, every block edge whose key
+    exceeds the bound U is contracted (the test of Padberg & Rinaldi,
+    Math. Programming 47, 1990).  U is the smaller of the incumbent's
+    key sum, when there is an incumbent, and the cheapest star of the
+    block: the key sum of the block edges at one pants.  Proof that the
+    answer and its tie-break do not change, with K(S) the key sum of an
+    edge set S and O the block's optimum:
+
+    1. The star of a pants is a cut of the block, so K(O) is at most
+       the cheapest star.
+    2. O changes the answer only if there is no incumbent or K(O) is
+       below the incumbent's sum; either way K(O) <= U.  Keys are
+       positive, so every edge of O has key at most K(O) <= U: none is
+       contracted, and O is a cut of the contracted block.
+    3. Contraction keeps exactly the cuts of the block that avoid the
+       contracted edges, each with its own crossing edges and key sum.
+       So in the case of (2) the contracted minimum is O, the unique
+       minimum because distinct edge sets have distinct key sums, and
+       the tie-break is the key order as before.  Otherwise every cut
+       of the block, the contracted minimum among them, sums to more
+       than the incumbent, which stays.
+
+    By (2), a block whose edges are all contracted cannot change the
+    answer, so it is skipped.
     """
-    edges = sorted(surface.edges, key=lambda e: e.label)
+    graph = surface._graph
+    order = sorted(range(len(surface.edges)), key=lambda k: surface.edges[k].label)
+    edges = [surface.edges[k] for k in order]
+    ends = [graph.ends[k] for k in order]
     lengths = [e.length for e in edges]
-    index = {v: k for k, v in enumerate(surface.vertices)}
-    ends = [(index[e.a], index[e.b]) for e in edges]
-    bridges, block_of = _bridges_and_blocks(len(index), ends)
+    n = len(graph.vertices)
+    bridges, block_of = _bridges_and_blocks(n, ends)
 
     blocks: dict[int, list[int]] = {}
     for k, (a, b) in enumerate(ends):
@@ -284,9 +298,28 @@ def _min_cut_global(surface: PantsSurface) -> Multicut:
             continue
         if keys is None:
             keys = _cut_keys(edges)
-        value, side = _stoer_wagner(block, ends, keys)
+        star: dict[int, int] = {}
+        for k in block:
+            a, b = ends[k]
+            star[a] = star.get(a, 0) + keys[k]
+            star[b] = star.get(b, 0) + keys[k]
+        bound = min(star.values())
+        if best_cut:
+            bound = min(bound, sum(keys[k] for k in best_cut))
+        root = _union_find(n, [ends[k] for k in block if keys[k] > bound])
+        weighted = [
+            (root[a], root[b], keys[k])
+            for k in block
+            for a, b in (ends[k],)
+            if root[a] != root[b]
+        ]
+        if not weighted:
+            continue
+        value, side = _stoer_wagner(weighted)
         if not best_cut or value < sum(keys[k] for k in best_cut):
-            best_cut = [k for k in block if (ends[k][0] in side) != (ends[k][1] in side)]
+            best_cut = [
+                k for k in block if (root[ends[k][0]] in side) != (root[ends[k][1]] in side)
+            ]
             best_length = math.fsum(lengths[k] for k in best_cut)
     return make_multicut(surface, [edges[k].label for k in best_cut])
 

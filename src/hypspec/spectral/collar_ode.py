@@ -46,8 +46,10 @@ core).  Widths up to about 8.1 go on to J = 16, one 32 x 32 and one
 16 x 16 solve more (about 65 and 25 us); every width past the J = 8
 round runs the rounds a J = 16 start would run, on the same matrices.
 The largest solve, a 512 x 512 matrix on 2080 nodes, costs about 0.1 s and
-30 MB the first time (the rules and cos tables of all six basis sizes,
-17 MB of them the largest table) and about 25 ms after that.
+28 MB the first time (the rules and cos tables of all six basis sizes,
+17 MB of them the largest table) and about 17 ms after that.  Each
+matrix is the sum of two strided views of its moments, so no index
+array is built or cached.
 A result more than 1e-9 relative below the floor cannot come from a
 correct solve and raises ArithmeticError.
 """
@@ -136,6 +138,42 @@ def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, table
 
 
+@functools.lru_cache(maxsize=None)
+def _kinetic(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal index of the n x n matrices and their kinetic numerators (2p + 1) pi.
+
+    The kinetic diagonal is 1/4 + ((2p + 1) pi / 2w)^2.  Cached per
+    basis size, like :func:`_moment_table`; the arrays are read-only.
+    """
+    i = np.arange(n)
+    odd_pi = (2 * i + 1) * math.pi
+    i.flags.writeable = odd_pi.flags.writeable = False
+    return i, odd_pi
+
+
+def _toeplitz_plus_hankel(moments: np.ndarray, n: int) -> np.ndarray:
+    """0.25 (m_|p-q| + m_(p+q+1)) for p, q < n, one n x n matrix per row of moments.
+
+    Both terms are strided views of a contiguous copy of the moments, so
+    no index array is built and nothing is gathered.  The Toeplitz term
+    walks the mirrored row m_(n-1) ... m_1 m_0 m_1 ... m_(n-1) from its
+    middle, down along p and up along q; the Hankel term walks
+    m_1 ... m_(2n-1) up along both.  The ndarray constructor checks that
+    each view lies inside its buffer.
+    """
+    k = moments.shape[0]
+    moments = np.ascontiguousarray(moments)
+    mirrored = np.concatenate((moments[:, n - 1 : 0 : -1], moments[:, :n]), axis=1)
+    step = moments.itemsize
+    toeplitz = np.ndarray(
+        (k, n, n), buffer=mirrored, offset=step * (n - 1), strides=(step * (2 * n - 1), -step, step)
+    )
+    hankel = np.ndarray((k, n, n), buffer=moments, offset=step, strides=(step * 2 * n, step, step))
+    matrices = toeplitz + hankel
+    matrices *= 0.25
+    return matrices
+
+
 def _ritz_pair(half_widths: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values of the J and 2J problems, one row per width."""
     n = 2 * j
@@ -145,9 +183,9 @@ def _ritz_pair(half_widths: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]
     # a stack of row-vector products: one matrix product over all widths
     # would round a one-width call differently from a batch
     moments = (sech2[:, None, :] @ table)[:, 0]
-    i = np.arange(n)
-    matrices = 0.25 * (moments[:, abs(i[:, None] - i)] + moments[:, i[:, None] + i + 1])
-    matrices[:, i, i] += 0.25 + ((2 * i + 1) * math.pi / (2.0 * half_widths[:, None])) ** 2
+    matrices = _toeplitz_plus_hankel(moments, n)
+    diagonal, odd_pi = _kinetic(n)
+    matrices[:, diagonal, diagonal] += 0.25 + (odd_pi / (2.0 * half_widths[:, None])) ** 2
     fine = np.linalg.eigvalsh(matrices)[:, 0]
     coarse = np.linalg.eigvalsh(matrices[:, :j, :j])[:, 0]
     return coarse, fine
@@ -181,6 +219,13 @@ def collar_dirichlet_lambda1_batch(half_widths) -> tuple[np.ndarray, np.ndarray]
             break
         todo = todo[estimates[todo] > RITZ_RTOL * values[todo]]
         j *= 2
+    # a screen for the loop below, which decides: the floor's margin is
+    # halved here, so the array floor's rounding cannot hide a value under it
+    floors = 0.25 + (math.pi / (2.0 * widths)) ** 2
+    if not (
+        np.any(estimates > RITZ_RTOL * values) or np.any(values < floors * (1.0 - 0.5e-9))
+    ):
+        return values, estimates
     for w, lam, err in zip(widths.tolist(), values.tolist(), estimates.tolist()):
         if err > RITZ_RTOL * lam:
             warnings.warn(

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..collars import gudermannian, max_half_width, modified_half_width
 from ..cuts import Multicut
-from ..surfaces import PantsSurface, connected_components
+from ..surfaces import PantsSurface, _union_find
 from ..thickthin import ThickThinDecomposition
 
 PANTS_MASS = 2.0 * math.pi
@@ -82,14 +82,23 @@ class NetworkModel:
         return math.fsum(self.masses)
 
     def laplacian(self) -> np.ndarray:
-        lap = np.zeros((self.n_nodes, self.n_nodes))
-        for e in self.edges:
-            if e.a == e.b:
-                continue
-            lap[e.a, e.a] += e.conductance
-            lap[e.b, e.b] += e.conductance
-            lap[e.a, e.b] -= e.conductance
-            lap[e.b, e.a] -= e.conductance
+        """Weighted Laplacian; self-loops add nothing.
+
+        Each edge adds its conductance at (a, a) and (b, b) and takes it
+        away at (a, b) and (b, a).  One unbuffered ``np.add.at`` does every
+        addition in that order, edge by edge, so every entry is rounded as
+        a loop over the edges would round it.
+        """
+        n = self.n_nodes
+        links = [e for e in self.edges if e.a != e.b]
+        rows = [i for e in links for i in (e.a, e.b, e.a, e.b)]
+        cols = [i for e in links for i in (e.a, e.b, e.b, e.a)]
+        values = [
+            v for e in links
+            for v in (e.conductance, e.conductance, -e.conductance, -e.conductance)
+        ]
+        lap = np.zeros((n, n))
+        np.add.at(lap, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), values)
         return lap
 
     def to_dict(self) -> dict:
@@ -111,56 +120,39 @@ def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
 
     Node mass is 2 pi per pants, which is exactly the component's thick
     area plus half of each incident collar (the ceded halves return).
-    Zero-width collars contract their endpoints into one node.  Raises
+    Zero-width collars contract their endpoints into one node, so the
+    nodes are the components of the surface with the positive-width
+    collars removed, ordered by their smallest pants id.  Each distinct
+    collar's conductance is computed once.  Raises
     :class:`NetworkBuildError` when fewer than two nodes remain or no
     thin collar survives, since no two-sided surrogate exists then.
     """
-    comp_of = decomposition.component_index()
-    n_comp = len(decomposition.thick_components)
-    if not decomposition.thin_collars or n_comp < 2:
-        raise NetworkBuildError(
-            "no thin separating system; use rayleigh_upper on an explicit cut instead"
-        )
-    nodes = connected_components(
-        range(n_comp),
-        [
-            (comp_of[tc.endpoints[0]], comp_of[tc.endpoints[1]])
-            for tc in decomposition.thin_collars
-            if tc.collar.half_width == 0.0
-        ],
+    surface = decomposition.surface
+    wide = [tc for tc in decomposition.thin_collars if tc.collar.half_width != 0.0]
+    cut = {tc.label for tc in wide}
+    nodes = surface._graph.parts(
+        k for k, e in enumerate(surface.edges) if e.label not in cut
     )
-    node_of_comp = {ci: i for i, node in enumerate(nodes) for ci in node}
-
-    members: list[list[str]] = [[] for _ in nodes]
-    for ci, comp in enumerate(decomposition.thick_components):
-        members[node_of_comp[ci]].extend(comp)
-    node_pants = tuple(tuple(sorted(m)) for m in members)
-    masses = tuple(PANTS_MASS * len(p) for p in node_pants)
-
-    edges = []
-    for tc in decomposition.thin_collars:
-        if tc.collar.half_width == 0.0:
-            continue
-        a = node_of_comp[comp_of[tc.endpoints[0]]]
-        b = node_of_comp[comp_of[tc.endpoints[1]]]
-        edges.append(
-            NetworkEdge(
-                label=tc.label,
-                a=min(a, b),
-                b=max(a, b),
-                conductance=collar_conductance(
-                    tc.collar.core_length, tc.collar.half_width
-                ),
-            )
-        )
-    if len(node_pants) < 2 or not edges:
+    if len(nodes) < 2 or not wide:
         raise NetworkBuildError(
             "no thin separating system; use rayleigh_upper on an explicit cut instead"
         )
+    node_of = {v: i for i, node in enumerate(nodes) for v in node}
+    node_pants = tuple(tuple(sorted(node)) for node in nodes)
+    conductance: dict[tuple[float, float], float] = {}
+    edges = []
+    for tc in wide:
+        a = node_of[tc.endpoints[0]]
+        b = node_of[tc.endpoints[1]]
+        shape = (tc.collar.core_length, tc.collar.half_width)
+        c = conductance.get(shape)
+        if c is None:
+            c = conductance[shape] = collar_conductance(*shape)
+        edges.append(NetworkEdge(label=tc.label, a=min(a, b), b=max(a, b), conductance=c))
     return NetworkModel(
-        genus=decomposition.surface.genus,
+        genus=surface.genus,
         node_pants=node_pants,
-        masses=masses,
+        masses=tuple(PANTS_MASS * len(p) for p in node_pants),
         edges=tuple(edges),
     )
 
@@ -172,7 +164,7 @@ def network_lambda1(model: NetworkModel) -> float:
         raise ValueError("network surrogate needs at least 2 nodes")
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense eigensolve capped at {DENSE_NODE_LIMIT} nodes, got {n}")
-    if len(connected_components(range(n), [(e.a, e.b) for e in model.edges])) > 1:
+    if len(set(_union_find(n, [(e.a, e.b) for e in model.edges]))) > 1:
         raise DisconnectedNetworkError("network surrogate is disconnected")
     inv_sqrt_m = 1.0 / np.sqrt(np.asarray(model.masses))
     sym = model.laplacian() * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
@@ -184,9 +176,8 @@ def _bipartition_sides(
     surface: PantsSurface, cut: Multicut
 ) -> tuple[frozenset[str], frozenset[str]]:
     removed = set(cut.edge_labels)
-    groups = connected_components(
-        surface.vertices,
-        [(e.a, e.b) for e in surface.edges if e.label not in removed],
+    groups = surface._graph.parts(
+        k for k, e in enumerate(surface.edges) if e.label not in removed
     )
     if len(groups) != 2:
         raise ValueError(

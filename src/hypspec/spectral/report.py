@@ -3,12 +3,13 @@
 One report gathers, for a single surface: the shortest separating
 system restricted to pants curves (L1), the Cheeger-type lower bound
 min(1/4, L1^2 / (4 vol^2)), the network surrogate's spectral gap, a
-Rayleigh-quotient upper bound from an explicit cut, and the exact
-Dirichlet eigenvalue of each thin collar.  Only the Cheeger value
-bounds the surface gap; the Rayleigh value is an upper bound for the
-network surrogate and a model estimate for the surface (on the chain
-family it sits up to 1.1 % below the Rayleigh quotient of its own
-test function on the surface).
+Rayleigh-quotient upper bound from an explicit cut, and a Ritz upper
+bound on the first Dirichlet eigenvalue of each thin collar (see
+:mod:`.collar_ode`).  Only the Cheeger value bounds the surface gap;
+the Rayleigh value is an upper bound for the network surrogate and a
+model estimate for the surface (on the chain family it sits up to
+1.1 % below the Rayleigh quotient of its own test function on the
+surface).
 Consistency flags record whether the Cheeger value lies below the
 Rayleigh value and whether the surrogate lands between them; the
 surrogate band is reported, never enforced.

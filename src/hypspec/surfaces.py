@@ -9,6 +9,7 @@ separating multicurves, spectral surrogates -- consumes this data.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,6 +57,15 @@ class PantsSurface:
                 return e
         raise KeyError(label)
 
+    @functools.cached_property
+    def _graph(self) -> _DualGraph:
+        """The integer view of the dual graph, built on first use and kept."""
+        index = {v: k for k, v in enumerate(self.vertices)}
+        return _DualGraph(
+            vertices=self.vertices,
+            ends=tuple((index[e.a], index[e.b]) for e in self.edges),
+        )
+
 
 @dataclass(frozen=True)
 class ChainFamilyParams:
@@ -83,6 +93,62 @@ class ChainFamilyParams:
 # graph helpers
 # ===================================================================
 
+def _union_find(n: int, pairs) -> list[int]:
+    """Root of every vertex 0..n-1 once the (a, b) pairs are joined.
+
+    The one union-find of the package, with path halving; self-loops
+    join nothing.  Two vertices share a root exactly when a path of
+    pairs links them, and the count of distinct roots is the count of
+    components.
+    """
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+    for v in range(n):
+        root = v
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        parent[v] = root
+    return parent
+
+
+def _groups(names, roots) -> list[frozenset]:
+    """Names grouped by root, ordered by each group's smallest name."""
+    groups: dict[int, list] = {}
+    for name, root in zip(names, roots):
+        groups.setdefault(root, []).append(name)
+    return sorted(map(frozenset, groups.values()), key=min)
+
+
+class _DualGraph:
+    """Integer view of a surface's dual graph.
+
+    Vertex k is ``vertices[k]`` and edge k, the surface's ``edges[k]``,
+    joins the vertices ``ends[k]``.  A plain class: a dataclass would
+    add its class construction to every import of the package's core.
+    """
+
+    __slots__ = ("vertices", "ends")
+
+    def __init__(self, vertices: tuple[str, ...], ends: tuple[tuple[int, int], ...]):
+        self.vertices = vertices
+        self.ends = ends
+
+    def roots(self, kept) -> list[int]:
+        """Union-find root of every vertex, joined by the edges numbered in ``kept``."""
+        ends = self.ends
+        return _union_find(len(self.vertices), [ends[k] for k in kept])
+
+    def parts(self, kept) -> list[frozenset[str]]:
+        """Pants sets of the components joined by the edges numbered in ``kept``."""
+        return _groups(self.vertices, self.roots(kept))
+
+
 def connected_components(vertices, edge_pairs) -> list[frozenset[str]]:
     """Connected components of a multigraph given as (a, b) endpoint pairs.
 
@@ -90,22 +156,9 @@ def connected_components(vertices, edge_pairs) -> list[frozenset[str]]:
     another; self-loops do not merge anything.  Output order follows
     the sorted order of each component's smallest vertex.
     """
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edge_pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for v in vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(g) for g in groups.values()), key=lambda s: min(s))
+    index = {v: k for k, v in enumerate(dict.fromkeys(vertices))}
+    roots = _union_find(len(index), [(index[a], index[b]) for a, b in edge_pairs])
+    return _groups(index, roots)
 
 
 # ===================================================================

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .collars import Collar, collar_volume, max_half_width, modified_half_width, shell_volume
-from .surfaces import PantsSurface, connected_components
+from .surfaces import PantsSurface
 
 EPSILON_SMALLNESS_BOUND = 1.0 / (2.0 * math.e**2)
 DEFAULT_EPSILON = 0.05
@@ -159,36 +159,36 @@ def decompose(
     """Split ``surface`` at scale ``epsilon``.
 
     Thin curves are those with length strictly below 2*epsilon; each
-    gets a modified collar (with shell).  Thick components are the
-    connected components of the dual graph after removing thin edges.
-    An inadmissible epsilon raises unless ``force=True``, in which
-    case the decomposition is built anyway and flagged.
+    gets a modified collar (with shell), one frozen :class:`Collar`
+    shared by every thin curve of the same length.  Thick components
+    are the connected components of the dual graph after removing thin
+    edges.  An inadmissible epsilon raises unless ``force=True``, in
+    which case the decomposition is built anyway and flagged.
     """
     checklist = epsilon_admissible(epsilon)
     if not checklist.passed and not force:
         raise InadmissibleEpsilonError(checklist)
+    two_eps = 2.0 * epsilon
+    collars: dict[float, Collar] = {}
     thin = []
-    thick_pairs = []
-    for e in sorted(surface.edges, key=lambda e: e.label):
-        if e.length < 2.0 * epsilon:
-            thin.append(
-                ThinCollar(
-                    label=e.label,
-                    endpoints=(e.a, e.b),
-                    collar=Collar(
-                        core_length=e.length,
-                        half_width=modified_half_width(e.length),
-                        has_shell=True,
-                    ),
+    thick = []
+    for k, e in enumerate(surface.edges):
+        if e.length < two_eps:
+            collar = collars.get(e.length)
+            if collar is None:
+                collar = collars[e.length] = Collar(
+                    core_length=e.length,
+                    half_width=modified_half_width(e.length),
+                    has_shell=True,
                 )
-            )
+            thin.append(ThinCollar(label=e.label, endpoints=(e.a, e.b), collar=collar))
         else:
-            thick_pairs.append((e.a, e.b))
-    comps = connected_components(surface.vertices, thick_pairs)
+            thick.append(k)
+    thin.sort(key=lambda tc: tc.label)
     return ThickThinDecomposition(
         epsilon=epsilon,
         surface=surface,
         thin_collars=tuple(thin),
-        thick_components=tuple(comps),
+        thick_components=tuple(surface._graph.parts(thick)),
         forced=not checklist.passed,
     )

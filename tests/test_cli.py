@@ -230,6 +230,16 @@ def test_exit_code_cut_search_budget(capsys, monkeypatch):
     assert "budget of 5 nodes" in err
 
 
+def test_exit_code_unknown_rayleigh_cut_label(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--family", "chain", "--genus", "4", "--length", "0.09",
+        "--cut", "nope",
+    )
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: unknown edge labels: ['nope']\n"
+
+
 def test_exit_code_inadmissible_epsilon(capsys):
     code, _, err = run(capsys, "thickthin", *CHAIN10, "--epsilon", "0.2")
     assert code == EXIT_INADMISSIBLE_EPSILON

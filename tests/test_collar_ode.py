@@ -203,6 +203,19 @@ def test_basis_schedule(monkeypatch, w, schedule):
     assert seen == schedule
 
 
+@pytest.mark.parametrize("n", [16, 32, 512])
+def test_toeplitz_plus_hankel_views_equal_the_index_gathers(n):
+    # the reference gathers m_|p-q| and m_(p+q+1) through index arrays
+    moments = np.random.default_rng(n).random((3, 2 * n))
+    i = np.arange(n)
+    want = 0.25 * (moments[:, abs(i[:, None] - i)] + moments[:, i[:, None] + i + 1])
+    assert np.array_equal(collar_ode._toeplitz_plus_hankel(moments, n), want)
+    # a view that is not contiguous reads the same entries
+    view = np.random.default_rng(n).random((3, 4 * n))[:, ::2]
+    want = 0.25 * (view[:, abs(i[:, None] - i)] + view[:, i[:, None] + i + 1])
+    assert np.array_equal(collar_ode._toeplitz_plus_hankel(view, n), want)
+
+
 def test_values_match_a_larger_basis():
     # every width stops at a basis whose value agrees with the J = 32
     # solve far inside the 1e-10 contract

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -245,3 +246,100 @@ def test_global_min_cut_equals_branch_and_bound(kind):
         for k in range(2):
             s = random_pants_surface(random.Random(100 * genus + k), genus, LENGTH_DRAWS[kind])
             assert min_separating_length(s, 1) == min_separating_length(s, 1, method="bnb")
+
+
+# short tied lengths, as on a surface whose thin curves share a few values;
+# the mixed draw adds thick curves, which the contraction removes
+SHORT_TIES = (0.02, 0.05, 0.09)
+MIXED_TIES = (0.02, 0.05, 0.09, 1.5)
+
+
+def _contraction_fixtures(lengths):
+    return [
+        random_pants_surface(random.Random(7000 + 100 * genus + k), genus, lambda r: r.choice(lengths))
+        for genus in range(2, 7)
+        for k in range(5)
+    ]
+
+
+def _recording_stoer_wagner(monkeypatch):
+    """Replace Stoer-Wagner by a wrapper that records the vertex count it sees."""
+    seen = []
+    stoer_wagner = cuts._stoer_wagner
+
+    def recording(weighted):
+        weighted = list(weighted)
+        seen.append(len({v for a, b, _ in weighted for v in (a, b)}))
+        return stoer_wagner(weighted)
+
+    monkeypatch.setattr(cuts, "_stoer_wagner", recording)
+    return seen
+
+
+def _exact_min_cut(s):
+    """The i = 1 optimum under exact sums: subsets by (exact total, labels), first feasible."""
+    edges = sorted(s.edges, key=lambda e: e.label)
+    exact = [Fraction(e.length) for e in edges]
+    denom = math.lcm(*(x.denominator for x in exact))
+    units = [int(x * denom) for x in exact]
+    m = len(edges)
+
+    def members(mask):
+        return [j for j in range(m) if mask >> j & 1]
+
+    def key(mask):
+        picked = members(mask)
+        return sum(units[j] for j in picked), tuple(edges[j].label for j in picked)
+
+    for mask in sorted(range(1, 1 << m), key=key):
+        labels = key(mask)[1]
+        if component_count_after_removal(s, labels) >= 2:
+            return make_multicut(s, labels)
+
+
+@pytest.mark.parametrize("lengths", [SHORT_TIES, MIXED_TIES], ids=["short", "mixed"])
+def test_contracted_min_cut_equals_exhaustive_on_tied_lengths(monkeypatch, lengths):
+    surfaces = _contraction_fixtures(lengths)
+    assert any(_has_bridge(s) for s in surfaces)
+    assert any(not _has_bridge(s) for s in surfaces)
+    seen = _recording_stoer_wagner(monkeypatch)
+    contracted = 0
+    for s in surfaces:
+        seen.clear()
+        got = min_separating_length(s, 1)
+        assert got == _exact_min_cut(s)
+        scan = cuts._min_cut_exhaustive(s, 1)
+        if scan != got:
+            # the scan compares correctly rounded totals, so it may only
+            # differ where two exact totals round to the same float (for
+            # example 0.02 + 0.05 + 0.02 and 0.09)
+            assert scan.total_length == got.total_length
+        # a bridgeless surface is one block holding every pants
+        contracted += not _has_bridge(s) and any(v < len(s.vertices) for v in seen)
+    if lengths == MIXED_TIES:
+        assert contracted >= 3
+
+
+def test_a_thick_curve_above_the_cheapest_star_is_contracted(monkeypatch):
+    # the dual graph is K4, bridgeless: one block of four pants.  Curve
+    # c000 (length 2) outweighs the star of p002 (three curves of 0.05),
+    # so no minimum cut holds it and Stoer-Wagner sees three vertices
+    pants = ["p000", "p001", "p002", "p003"]
+    pairs = [(a, b) for i, a in enumerate(pants) for b in pants[i + 1 :]]
+    s = build_from_description(
+        {
+            "genus": 3,
+            "vertices": pants,
+            "edges": [
+                {"a": a, "b": b, "length": 2.0 if k == 0 else 0.05, "label": f"c{k:03d}"}
+                for k, (a, b) in enumerate(pairs)
+            ],
+        }
+    )
+    assert not _has_bridge(s)
+    seen = _recording_stoer_wagner(monkeypatch)
+    cut = min_separating_length(s, 1)
+    assert seen == [3]
+    assert cut == cuts._min_cut_exhaustive(s, 1)
+    # the stars of p002 and p003 tie in length; p002's labels come first
+    assert cut.edge_labels == ("c001", "c003", "c005")

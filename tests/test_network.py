@@ -1,8 +1,10 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hypspec.collars import gudermannian, max_half_width, modified_half_width
 from hypspec.cuts import make_multicut, min_separating_length
@@ -23,6 +25,9 @@ from hypspec.surfaces import (
     surface_to_dict,
 )
 from hypspec.thickthin import decompose
+
+import graph_oracle
+from random_pants import random_pants_surface
 
 
 def chain(genus, length=0.09):
@@ -254,3 +259,78 @@ def test_to_dict_round_trips_through_json():
     assert len(blob["nodes"]) == model.n_nodes
     assert len(blob["edges"]) == len(model.edges)
     assert blob["nodes"][0]["mass"] == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+
+# at epsilon = 0.3 curves below 0.6 are thin, and those from about 0.545
+# up have modified width 0: thick curves, wide collars and zero-width
+# collars in one draw
+FORCED_LENGTHS = (0.05, 0.3, 0.56, 0.58, 0.9)
+
+
+def _forced_decompositions():
+    for genus in range(2, 9):
+        for k in range(6):
+            rng = random.Random(100 * genus + k)
+            s = random_pants_surface(rng, genus, lambda r: r.choice(FORCED_LENGTHS))
+            yield decompose(s, epsilon=0.3, force=True)
+
+
+def test_network_nodes_equal_the_two_stage_oracle_on_zero_width_collars():
+    merged = 0
+    for d in _forced_decompositions():
+        assert d.forced
+        try:
+            want = graph_oracle.build_network(d)
+        except NetworkBuildError as exc:
+            with pytest.raises(NetworkBuildError, match=str(exc)):
+                build_network(d)
+            continue
+        assert build_network(d) == want
+        merged += want.n_nodes < len(d.thick_components)
+    # the fixtures do merge thick components through zero-width collars
+    assert merged >= 5
+
+
+def test_forced_reports_build_the_oracle_network():
+    s = relabeled_chain(6, 0.3, {"j": 0.57, "s": 0.9})
+    d = decompose(s, epsilon=0.3, force=True)
+    assert any(tc.collar.half_width == 0.0 for tc in d.thin_collars)
+    assert build_network(d) == graph_oracle.build_network(d)
+
+
+@st.composite
+def networks(draw):
+    """Models with self-loops and parallel edges, in any edge order."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(min_value=0, max_value=n - 1)
+    ends = draw(st.lists(st.tuples(node, node), max_size=24))
+    conductances = draw(
+        st.lists(
+            st.floats(min_value=1e-6, max_value=1e3),
+            min_size=len(ends),
+            max_size=len(ends),
+        )
+    )
+    edges = tuple(
+        NetworkEdge(label=f"e{k}", a=a, b=b, conductance=c)
+        for k, ((a, b), c) in enumerate(zip(ends, conductances))
+    )
+    return NetworkModel(
+        genus=2, node_pants=tuple((f"p{i}",) for i in range(n)), masses=(1.0,) * n, edges=edges
+    )
+
+
+@given(networks())
+def test_laplacian_equals_the_edge_loop_bit_for_bit(model):
+    assert np.array_equal(model.laplacian(), graph_oracle.laplacian(model))
+
+
+def test_laplacian_of_built_networks_equals_the_edge_loop():
+    models = [build_network(decompose(chain(g))) for g in (3, 10, 40)]
+    for d in _forced_decompositions():
+        try:
+            models.append(build_network(d))
+        except NetworkBuildError:
+            pass
+    for model in models:
+        assert np.array_equal(model.laplacian(), graph_oracle.laplacian(model))

@@ -8,6 +8,7 @@ from hypspec.surfaces import (
     ChainFamilyParams,
     InvalidSurfaceError,
     PantsSurface,
+    _union_find,
     build_chain_family,
     build_from_description,
     chain_central_join_label,
@@ -19,6 +20,8 @@ from hypspec.surfaces import (
     total_volume,
     validate_description,
 )
+
+import graph_oracle
 
 
 def chain(genus: int, length: float = 0.09) -> PantsSurface:
@@ -240,3 +243,38 @@ def test_every_chain_passes_its_own_validation(genus, length):
     s = build_chain_family(ChainFamilyParams(genus=genus, core_length=length))
     assert validate_description(surface_to_dict(s)) == []
     assert len(connected_components(s.vertices, [(e.a, e.b) for e in s.edges])) == 1
+
+
+@st.composite
+def multigraphs(draw):
+    """Vertex names in a drawn order, with self-loops, parallel edges and isolated vertices."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    names = draw(st.permutations([f"v{k:02d}" for k in range(n)]))
+    if not names:
+        return names, []
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=20))
+    return names, pairs
+
+
+@given(multigraphs())
+def test_union_find_matches_the_dictionary_oracle(graph):
+    names, pairs = graph
+    want = graph_oracle.connected_components(names, pairs)
+    assert connected_components(names, pairs) == want
+    index = {v: k for k, v in enumerate(names)}
+    roots = _union_find(len(names), [(index[a], index[b]) for a, b in pairs])
+    assert len(set(roots)) == len(want)
+    for comp in want:
+        assert len({roots[index[v]] for v in comp}) == 1
+
+
+def test_a_surface_builds_its_integer_graph_once():
+    s = chain(5)
+    graph = s._graph
+    assert s._graph is graph
+    assert graph.vertices == s.vertices
+    assert [graph.vertices[a] for a, _ in graph.ends] == [e.a for e in s.edges]
+    assert [graph.vertices[b] for _, b in graph.ends] == [e.b for e in s.edges]
+    # the memo is no field: equality, hashing and the JSON form ignore it
+    assert s == chain(5) and hash(s) == hash(chain(5))
+    assert dump_surface(s) == dump_surface(chain(5))
