@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
 def cmd_geometry(args) -> int:
     surface = _surface_from_args(args)
     lines = ["label,length,max_half_width,modified_half_width,collar_volume,shell_volume"]
-    for e in sorted(surface.edges, key=lambda e: e.label):
+    for e in surface.edges:
         w_max = max_half_width(e.length)
         w_mod = modified_half_width(e.length)
         lines.append(

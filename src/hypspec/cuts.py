@@ -13,12 +13,11 @@ every block edge that outweighs the block's cheapest single-pants star,
 or the best cut found so far, is contracted: no minimum cut holds it
 (Padberg & Rinaldi, Math. Programming 47, 1990), so the optimum and its
 tie-break are unchanged (see ``_min_cut_global``).  For i >= 2 it uses an
-exhaustive bitmask scan up to 20 edges and a best-first
-branch-and-bound beyond, under a node budget.  Ties are exact ties of
-the summed lengths and break toward the lexicographically smallest
-label tuple.  The two subset searches compare correctly rounded
-(``math.fsum``) totals, so they return the same optimum unless two
-candidate totals differ by less than one ulp.  ``bers_upper_bound``
+exhaustive Gray-code scan up to 20 edges and a best-first
+branch-and-bound beyond, under a node budget.  Every method compares the
+exact integer key sums of ``_cut_keys``: ties are exact ties of the
+summed lengths and break toward the lexicographically smallest label
+tuple, so all methods return the same edge set.  ``bers_upper_bound``
 gives the classical existence bound 78 i (g-1).
 """
 from __future__ import annotations
@@ -47,7 +46,7 @@ class Multicut:
 
 def _canonical_length(surface: PantsSurface, labels) -> float:
     by_label = {e.label: e.length for e in surface.edges}
-    return math.fsum(by_label[l] for l in sorted(labels))
+    return math.fsum(by_label[l] for l in labels)
 
 
 def component_count_after_removal(surface: PantsSurface, labels) -> int:
@@ -71,10 +70,9 @@ def make_multicut(surface: PantsSurface, labels) -> Multicut:
     )
 
 
-def _validate_i(surface: PantsSurface, i: int) -> None:
-    g = surface.genus
-    if not 1 <= i <= 2 * g - 3:
-        raise ValueError(f"i must satisfy 1 <= i <= 2g-3 = {2 * g - 3}, got {i}")
+def _validate_i(genus: int, i: int) -> None:
+    if not 1 <= i <= 2 * genus - 3:
+        raise ValueError(f"i must satisfy 1 <= i <= 2g-3 = {2 * genus - 3}, got {i}")
 
 
 # ===================================================================
@@ -82,26 +80,29 @@ def _validate_i(surface: PantsSurface, i: int) -> None:
 # ===================================================================
 
 def _min_cut_exhaustive(surface: PantsSurface, i: int) -> Multicut:
-    edges = sorted(surface.edges, key=lambda e: e.label)
-    m = len(edges)
-    lengths = [e.length for e in edges]
-    best_key: tuple[float, tuple[str, ...]] | None = None
-    best_labels: tuple[str, ...] | None = None
+    """Every nonempty edge set in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1).
+
+    One key of :func:`_cut_keys` enters or leaves the running sum per
+    step; components are counted only below the best separating sum.
+    """
+    edges = surface.edges
+    keys = _cut_keys(edges)
+    graph = surface._graph
+    m = len(keys)
     target = i + 1
-    for mask in range(1, 1 << m):
-        total = math.fsum(lengths[j] for j in range(m) if mask >> j & 1)
-        if best_key is not None and total > best_key[0]:
+    best_sum = best_mask = None
+    mask = total = 0
+    for step in range(1, 1 << m):
+        j = (step & -step).bit_length() - 1
+        mask ^= 1 << j
+        total += keys[j] if mask >> j & 1 else -keys[j]
+        if best_sum is not None and total >= best_sum:
             continue
-        labels = tuple(edges[j].label for j in range(m) if mask >> j & 1)
-        key = (total, labels)
-        if best_key is not None and key >= best_key:
-            continue
-        if component_count_after_removal(surface, labels) >= target:
-            best_key = key
-            best_labels = labels
-    if best_labels is None:
+        if len(set(graph.roots(k for k in range(m) if not mask >> k & 1))) >= target:
+            best_sum, best_mask = total, mask
+    if best_mask is None:
         raise ValueError(f"no edge subset separates the surface into {target} components")
-    return make_multicut(surface, best_labels)
+    return make_multicut(surface, [e.label for k, e in enumerate(edges) if best_mask >> k & 1])
 
 
 # ===================================================================
@@ -111,7 +112,7 @@ def _min_cut_exhaustive(surface: PantsSurface, i: int) -> Multicut:
 def _cut_keys(edges) -> list[int]:
     """Exact integer keys whose sums order edge sets as the contract does.
 
-    ``edges`` is sorted by label, so edge r has rank r of m.  Each length
+    ``edges`` are in label order, so edge r has rank r of m.  Each length
     is a dyadic rational p/q; over the common denominator D it is the
     integer n_r = p D / q >= 1.  The key of edge r is
     k_r = n_r 2^m - 2^(m-1-r) > 0, so a set S sums to
@@ -137,7 +138,7 @@ def _cut_keys(edges) -> list[int]:
     ]
 
 
-def _bridges_and_blocks(n: int, ends: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+def _bridges_and_blocks(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
     """Bridges of a connected multigraph and the block of every vertex.
 
     Iterative Tarjan.  The DFS skips only the edge it arrived by, not
@@ -276,12 +277,9 @@ def _min_cut_global(surface: PantsSurface) -> Multicut:
     By (2), a block whose edges are all contracted cannot change the
     answer, so it is skipped.
     """
-    graph = surface._graph
-    order = sorted(range(len(surface.edges)), key=lambda k: surface.edges[k].label)
-    edges = [surface.edges[k] for k in order]
-    ends = [graph.ends[k] for k in order]
-    lengths = [e.length for e in edges]
-    n = len(graph.vertices)
+    ends = surface._graph.ends
+    lengths = [e.length for e in surface.edges]
+    n = len(surface._graph.vertices)
     bridges, block_of = _bridges_and_blocks(n, ends)
 
     blocks: dict[int, list[int]] = {}
@@ -297,7 +295,7 @@ def _min_cut_global(surface: PantsSurface) -> Multicut:
         if shortest + second > best_length:
             continue
         if keys is None:
-            keys = _cut_keys(edges)
+            keys = _cut_keys(surface.edges)
         star: dict[int, int] = {}
         for k in block:
             a, b = ends[k]
@@ -321,7 +319,7 @@ def _min_cut_global(surface: PantsSurface) -> Multicut:
                 k for k in block if (root[ends[k][0]] in side) != (root[ends[k][1]] in side)
             ]
             best_length = math.fsum(lengths[k] for k in best_cut)
-    return make_multicut(surface, [edges[k].label for k in best_cut])
+    return make_multicut(surface, [surface.edges[k].label for k in best_cut])
 
 
 # ===================================================================
@@ -332,42 +330,41 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
     """Best-first search over canonical subsets.
 
     Children extend a subset only with higher edge indices, so each
-    subset is enumerated once; the heap pops by (total length, label
-    tuple), hence the first feasible pop is the optimum under the same
-    tie-break as the exhaustive search.  A greedy incumbent caps queue
-    growth: children strictly longer than it are pruned.  A search that
+    subset is enumerated once; the heap pops by key sum
+    (:func:`_cut_keys`), so the first separating pop is the unique
+    optimum.  Pops of fewer than i curves are not tested: each curve
+    adds at most one piece.  A greedy incumbent caps queue growth:
+    children whose key sum exceeds its own are pruned.  A search that
     would push more than ``BNB_NODE_BUDGET`` nodes, counting the root,
     raises a ValueError instead of running on, so the heap never holds
     more than that many.
     """
-    edges = sorted(surface.edges, key=lambda e: e.label)
-    m = len(edges)
-    lengths = [e.length for e in edges]
-    labels_arr = [e.label for e in edges]
+    keys = _cut_keys(surface.edges)
+    graph = surface._graph
+    m = len(keys)
     target = i + 1
 
-    # greedy incumbent: cheapest-first accumulation until feasible
-    order = sorted(range(m), key=lambda j: (lengths[j], labels_arr[j]))
-    acc: list[int] = []
-    incumbent_len = math.inf
-    for j in order:
-        acc.append(j)
-        labels = [labels_arr[k] for k in acc]
-        if component_count_after_removal(surface, labels) >= target:
-            incumbent_len = _canonical_length(surface, labels)
-            break
+    def separates(cut) -> bool:
+        return len(set(graph.roots(k for k in range(m) if k not in cut))) >= target
 
-    heap: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
+    # greedy incumbent: cheapest-first accumulation until separating
+    acc: list[int] = []
+    for j in sorted(range(m), key=keys.__getitem__):
+        acc.append(j)
+        if separates(acc):
+            break
+    incumbent = sum(keys[k] for k in acc)
+
+    heap: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     pushes = 1
     while heap:
-        total, labels, idxs = heapq.heappop(heap)
-        if labels and component_count_after_removal(surface, labels) >= target:
-            return make_multicut(surface, labels)
+        total, idxs = heapq.heappop(heap)
+        if len(idxs) >= i and separates(idxs):
+            return make_multicut(surface, [surface.edges[k].label for k in idxs])
         start = idxs[-1] + 1 if idxs else 0
         for j in range(start, m):
-            child_idxs = idxs + (j,)
-            child_total = math.fsum(lengths[k] for k in child_idxs)
-            if child_total > incumbent_len:
+            child_total = total + keys[j]
+            if child_total > incumbent:
                 continue
             if pushes == BNB_NODE_BUDGET:
                 raise ValueError(
@@ -375,8 +372,7 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
                     f"(genus {surface.genus}, i={i}, {m} edges)"
                 )
             pushes += 1
-            child_labels = tuple(sorted(labels + (labels_arr[j],)))
-            heapq.heappush(heap, (child_total, child_labels, child_idxs))
+            heapq.heappush(heap, (child_total, idxs + (j,)))
     raise ValueError(f"no edge subset separates the surface into {target} components")
 
 
@@ -385,15 +381,14 @@ def min_separating_length(
 ) -> Multicut:
     """Cheapest pants-curve set splitting the surface into >= i+1 pieces.
 
-    Ties are exact ties of the summed lengths (for "exhaustive" and
-    "bnb", of their correctly rounded totals) and break toward the
-    lexicographically smallest label tuple, so the result is independent
-    of evaluation order.  ``method`` is "exhaustive", "bnb", or "auto":
-    for i = 1 the exact global minimum cut (bridges, then Stoer-Wagner),
-    for i >= 2 exhaustive up to 20 edges and branch-and-bound beyond.
+    Ties are exact ties of the summed lengths and break toward the
+    lexicographically smallest label tuple, so every method returns the
+    same edge set.  ``method`` is "exhaustive", "bnb", or "auto": for
+    i = 1 the exact global minimum cut (bridges, then Stoer-Wagner), for
+    i >= 2 exhaustive up to 20 edges and branch-and-bound beyond.
     Branch-and-bound raises a ValueError past ``BNB_NODE_BUDGET`` nodes.
     """
-    _validate_i(surface, i)
+    _validate_i(surface.genus, i)
     if method == "auto":
         if i == 1:
             return _min_cut_global(surface)
@@ -418,6 +413,5 @@ def bers_upper_bound(i: int, genus: int) -> float:
     """Existence bound 78 i (g-1) on L_i from short pants decompositions."""
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
-    if not 1 <= i <= 2 * genus - 3:
-        raise ValueError(f"i must satisfy 1 <= i <= 2g-3 = {2 * genus - 3}, got {i}")
+    _validate_i(genus, i)
     return 78.0 * i * (genus - 1)

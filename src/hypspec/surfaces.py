@@ -40,16 +40,22 @@ class Edge:
 class PantsSurface:
     """Immutable dual multigraph of a pants decomposition.
 
-    ``vertices`` are pants ids, ``edges`` are pants curves.  A valid
-    surface of genus g has 2(g-1) trivalent vertices (self-loops count
-    twice), 3(g-1) edges, positive finite lengths, and a connected
-    dual graph.  Use :func:`build_from_description` or the family
-    builders to get a validated instance.
+    ``vertices`` are pants ids, ``edges`` are pants curves in strictly
+    increasing label order (else ValueError), so edge k has label rank k.
+    A valid surface of genus g has 2(g-1) trivalent vertices (self-loops
+    count twice), 3(g-1) edges, positive finite lengths, and a connected
+    dual graph.  :func:`build_from_description` and the family builders
+    sort the edges by label and validate the surface.
     """
 
     genus: int
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        labels = [e.label for e in self.edges]
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise ValueError("surface edges must be in strictly increasing label order")
 
     def edge_by_label(self, label: str) -> Edge:
         for e in self.edges:
@@ -344,7 +350,7 @@ def total_volume(surface: PantsSurface) -> float:
 # ===================================================================
 
 def surface_to_dict(surface: PantsSurface) -> dict:
-    """JSON-ready description; edges are sorted by label."""
+    """JSON-ready description; edges are in label order."""
     return {
         "genus": surface.genus,
         "vertices": list(surface.vertices),
@@ -356,7 +362,7 @@ def surface_to_dict(surface: PantsSurface) -> dict:
                 "twist": e.twist,
                 "label": e.label,
             }
-            for e in sorted(surface.edges, key=lambda e: e.label)
+            for e in surface.edges
         ],
     }
 

@@ -184,7 +184,6 @@ def decompose(
             thin.append(ThinCollar(label=e.label, endpoints=(e.a, e.b), collar=collar))
         else:
             thick.append(k)
-    thin.sort(key=lambda tc: tc.label)
     return ThickThinDecomposition(
         epsilon=epsilon,
         surface=surface,

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import itertools
 import math
@@ -58,7 +59,7 @@ def test_methods_agree_on_small_chains():
         for i in range(1, min(2 * g - 3, 4) + 1):
             ex = min_separating_length(s, i, method="exhaustive")
             bb = min_separating_length(s, i, method="bnb")
-            assert ex.total_length == pytest.approx(bb.total_length, rel=1e-12)
+            assert ex == bb
             assert ex.component_count >= i + 1
             assert bb.component_count >= i + 1
 
@@ -75,7 +76,7 @@ def test_methods_agree_on_random_lengths():
         i = rng.randint(1, min(2 * g - 3, 3))
         ex = min_separating_length(s, i, method="exhaustive")
         bb = min_separating_length(s, i, method="bnb")
-        assert bb.total_length == pytest.approx(ex.total_length, rel=1e-12)
+        assert bb == ex
 
 
 def test_auto_dispatch_matches_exhaustive_under_the_limit():
@@ -83,7 +84,7 @@ def test_auto_dispatch_matches_exhaustive_under_the_limit():
     assert len(s.edges) <= EXHAUSTIVE_EDGE_LIMIT
     auto = min_separating_length(s, 2)
     ex = min_separating_length(s, 2, method="exhaustive")
-    assert auto.total_length == pytest.approx(ex.total_length, rel=1e-14)
+    assert auto == ex
 
 
 def test_large_genus_uses_branch_and_bound():
@@ -206,7 +207,7 @@ def test_property_methods_agree(genus, seed, i):
     s = perturbed_chain(genus, lengths)
     ex = min_separating_length(s, i, method="exhaustive")
     bb = min_separating_length(s, i, method="bnb")
-    assert bb.total_length == pytest.approx(ex.total_length, rel=1e-12)
+    assert bb == ex
     assert bb.component_count >= i + 1
 
 
@@ -276,24 +277,26 @@ def _recording_stoer_wagner(monkeypatch):
     return seen
 
 
-def _exact_min_cut(s):
-    """The i = 1 optimum under exact sums: subsets by (exact total, labels), first feasible."""
+@functools.lru_cache(maxsize=4)
+def _exact_order(s):
+    """Every nonempty label set of ``s`` by (exact total length, sorted label tuple)."""
     edges = sorted(s.edges, key=lambda e: e.label)
     exact = [Fraction(e.length) for e in edges]
     denom = math.lcm(*(x.denominator for x in exact))
     units = [int(x * denom) for x in exact]
     m = len(edges)
 
-    def members(mask):
-        return [j for j in range(m) if mask >> j & 1]
-
     def key(mask):
-        picked = members(mask)
+        picked = [j for j in range(m) if mask >> j & 1]
         return sum(units[j] for j in picked), tuple(edges[j].label for j in picked)
 
-    for mask in sorted(range(1, 1 << m), key=key):
-        labels = key(mask)[1]
-        if component_count_after_removal(s, labels) >= 2:
+    return [labels for _, labels in sorted(map(key, range(1, 1 << m)))]
+
+
+def _exact_min_cut(s, i=1):
+    """The L_i optimum under exact sums: the first set in exact order leaving i+1 pieces."""
+    for labels in _exact_order(s):
+        if component_count_after_removal(s, labels) >= i + 1:
             return make_multicut(s, labels)
 
 
@@ -308,12 +311,7 @@ def test_contracted_min_cut_equals_exhaustive_on_tied_lengths(monkeypatch, lengt
         seen.clear()
         got = min_separating_length(s, 1)
         assert got == _exact_min_cut(s)
-        scan = cuts._min_cut_exhaustive(s, 1)
-        if scan != got:
-            # the scan compares correctly rounded totals, so it may only
-            # differ where two exact totals round to the same float (for
-            # example 0.02 + 0.05 + 0.02 and 0.09)
-            assert scan.total_length == got.total_length
+        assert cuts._min_cut_exhaustive(s, 1) == got
         # a bridgeless surface is one block holding every pants
         contracted += not _has_bridge(s) and any(v < len(s.vertices) for v in seen)
     if lengths == MIXED_TIES:
@@ -343,3 +341,26 @@ def test_a_thick_curve_above_the_cheapest_star_is_contracted(monkeypatch):
     assert cut == cuts._min_cut_exhaustive(s, 1)
     # the stars of p002 and p003 tie in length; p002's labels come first
     assert cut.edge_labels == ("c001", "c003", "c005")
+
+
+# one of the short fixtures: 0.02 + 0.05 + 0.02 and 0.09 differ exactly
+# but round to the same float
+FLOAT_TIE_SURFACE = random_pants_surface(random.Random(7603), 6, lambda r: r.choice(SHORT_TIES))
+
+
+def test_every_method_picks_the_exact_side_of_a_float_tie():
+    s = FLOAT_TIE_SURFACE
+    tie = make_multicut(s, ["c000", "c002", "c013"])
+    assert tie.total_length == 0.09 and tie.component_count == 2
+    assert _exact_min_cut(s) == make_multicut(s, ["c003"])
+    for method in ("auto", "exhaustive", "bnb"):
+        assert min_separating_length(s, 1, method=method).edge_labels == ("c003",)
+
+
+@pytest.mark.parametrize("lengths", [SHORT_TIES, MIXED_TIES], ids=["short", "mixed"])
+def test_every_method_returns_the_exact_optimum_on_tied_lengths(lengths):
+    for s in _contraction_fixtures(lengths):
+        for i in range(1, min(3, 2 * s.genus - 3) + 1):
+            want = _exact_min_cut(s, i)
+            for method in ("auto", "exhaustive", "bnb"):
+                assert min_separating_length(s, i, method=method) == want, (method, i)

@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypspec.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,14 +20,6 @@ def run_script(name, *argv):
         text=True,
         check=True,
     )
-
-
-def test_scaling_study_script_writes_the_cli_csv(tmp_path):
-    args = ["--genus-list", "4,8", "--length", "0.09"]
-    script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
-    run_script("scaling_study.py", *args, "--output", str(script_csv))
-    assert main(["scaling", *args, "--output", str(cli_csv)]) == 0
-    assert script_csv.read_bytes() == cli_csv.read_bytes()
 
 
 def test_collar_limit_sweep_stays_above_the_floor():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from hypspec.surfaces import (
 )
 
 import graph_oracle
+from random_pants import random_pants_surface, tie_length
 
 
 def chain(genus: int, length: float = 0.09) -> PantsSurface:
@@ -278,3 +280,26 @@ def test_a_surface_builds_its_integer_graph_once():
     # the memo is no field: equality, hashing and the JSON form ignore it
     assert s == chain(5) and hash(s) == hash(chain(5))
     assert dump_surface(s) == dump_surface(chain(5))
+
+
+def test_edges_out_of_label_order_or_repeated_are_refused():
+    edges = chain(3).edges
+    assert [e.label for e in edges] == sorted(e.label for e in edges)
+    swapped = (edges[1], edges[0], *edges[2:])
+    repeated = (edges[0], edges[0], *edges[2:])
+    for bad in (swapped, repeated, tuple(reversed(edges))):
+        with pytest.raises(ValueError, match="strictly increasing label order"):
+            PantsSurface(genus=3, vertices=chain(3).vertices, edges=bad)
+
+
+def test_a_shuffled_description_builds_the_sorted_surface():
+    rng = random.Random(2024)
+    surfaces = [chain(g) for g in (2, 5, 9)]
+    surfaces += [random_pants_surface(random.Random(50 + g), g, tie_length) for g in range(2, 9)]
+    for s in surfaces:
+        desc = surface_to_dict(s)
+        for _ in range(3):
+            rng.shuffle(desc["edges"])
+            built = build_from_description(desc)
+            assert built == s
+            assert [e.label for e in built.edges] == sorted(e.label for e in s.edges)
