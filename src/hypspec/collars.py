@@ -40,10 +40,20 @@ if TYPE_CHECKING:
 
 
 def max_half_width(length: float) -> float:
-    """Maximal embedded collar half-width arcsinh(1/sinh(l/2))."""
+    """Maximal embedded collar half-width arcsinh(1/sinh(l/2)).
+
+    Past l ~ 1420.9, where sinh(l/2) overflows, 1/sinh(l/2) is
+    2 e^(-l/2) to double precision; it is formed as 2 y y with
+    y = e^(-l/4), so it is rounded only once into the subnormal range
+    (and to 0 from l ~ 1489 on).
+    """
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
-    return math.asinh(1.0 / math.sinh(0.5 * length))
+    try:
+        return math.asinh(1.0 / math.sinh(0.5 * length))
+    except OverflowError:
+        y = math.exp(-0.25 * length)
+        return math.asinh(2.0 * y * y)
 
 
 def modified_half_width(length: float) -> float:

@@ -240,6 +240,32 @@ def test_exit_code_unknown_rayleigh_cut_label(capsys):
     assert err == "error: unknown edge labels: ['nope']\n"
 
 
+def test_curves_longer_than_the_sinh_overflow_end_in_exit_codes(tmp_path, capsys):
+    # sinh(l/2) overflows past l ~ 1420.9; every command still ends in a
+    # documented exit code, never an OverflowError
+    _, out, _ = run(capsys, "build", "--family", "chain", "--genus", "3", "--length", "0.09")
+    desc = json.loads(out)
+    for e in desc["edges"]:
+        e["length"] = 2000.0
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run(capsys, "geometry", "--input", str(path))
+    assert code == EXIT_OK
+    assert out.split("\n")[1] == "j000,2000,0,0,0,4700.80477458"
+    # the Rayleigh cut's collar width underflows to 0
+    code, out, err = run(capsys, "bounds", "--input", str(path))
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: half_width must be positive and finite, got 0.0\n"
+    code, out, err = run(
+        capsys, "thickthin", "--family", "chain", "--genus", "3", "--length", "0.09",
+        "--epsilon", "800",
+    )
+    assert code == EXIT_INADMISSIBLE_EPSILON
+    assert out == ""
+    assert err.startswith("error: epsilon=800.0 fails: width") and err.count("\n") == 1
+
+
 def test_exit_code_inadmissible_epsilon(capsys):
     code, _, err = run(capsys, "thickthin", *CHAIN10, "--epsilon", "0.2")
     assert code == EXIT_INADMISSIBLE_EPSILON

@@ -41,6 +41,20 @@ def test_max_half_width_matches_mpmath():
         max_half_width(math.inf)
 
 
+def test_max_half_width_past_the_sinh_overflow():
+    # sinh(l/2) overflows from l ~ 1420.9 on; the width there is
+    # asinh(2 e^(-l/2)), subnormal and then 0, never an OverflowError
+    with pytest.raises(OverflowError):
+        math.sinh(1421 / 2)
+    for ell in (700.0, 1420.0, 1421.0, 1500.0, 1e6):
+        expect = float(mp_half_width(ell))
+        got = max_half_width(ell)
+        assert abs(got - expect) <= math.ulp(expect), ell
+        assert modified_half_width(ell) == 0.0
+    assert max_half_width(1421.0) > 0.0
+    assert max_half_width(1500.0) == max_half_width(1e300) == 0.0
+
+
 def test_modified_half_width_offsets_by_two():
     assert modified_half_width(0.09) == pytest.approx(1.7944086998410058, rel=1e-13)
     # once the full width drops under 2 the modified width clamps at zero
