@@ -52,7 +52,10 @@ def collar_conductance(length: float, half_width: float) -> float:
         raise ValueError(f"length must be positive and finite, got {length}")
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ValueError(f"half_width must be positive and finite, got {half_width}")
-    return length / (2.0 * gudermannian(half_width))
+    gd = gudermannian(half_width)
+    if gd == 0.0:  # w/2 rounds to 0 for the smallest subnormal w
+        raise ValueError(f"half_width {half_width} is too small: gd(w) underflows to 0")
+    return length / (2.0 * gd)
 
 
 @dataclass(frozen=True)

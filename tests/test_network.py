@@ -66,6 +66,10 @@ def test_conductance_formula():
         collar_conductance(0.0, 1.0)
     with pytest.raises(ValueError):
         collar_conductance(0.1, 0.0)
+    # the smallest subnormal width: gd(w) = 2 atan(tanh(w/2)) rounds to 0
+    assert gudermannian(5e-324) == 0.0
+    with pytest.raises(ValueError, match="gd\\(w\\) underflows to 0"):
+        collar_conductance(1490.0, max_half_width(1490.0))
 
 
 def test_conductance_against_discrete_minimization():
