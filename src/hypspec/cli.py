@@ -7,9 +7,9 @@ carries timestamps or machine identifiers.  Exit codes: 0 success,
 4 verification failure.
 
 Each command imports the spectral modules and :mod:`hypspec.verify`
-only when it runs, so ``build``, ``geometry``, ``cuts`` and
-``--version`` load no numpy, and ``bounds``, ``spectrum`` and
-``thickthin`` load none of the ``verify`` machinery.
+only when it runs, so ``build``, ``geometry``, ``cuts``, ``thickthin``
+and ``--version`` load no numpy, and ``bounds`` and ``spectrum`` load
+none of the ``verify`` machinery.
 """
 from __future__ import annotations
 

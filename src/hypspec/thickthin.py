@@ -8,21 +8,23 @@ that lives inside the thick part.
 
 An epsilon qualifies when (a) even the shortest admissible collar
 still has a deep shell margin, (b) collar and shell areas stay in
-[1/2, 4] over the whole thin range, and (c) epsilon < 1/(2 e^2) (which
-also forces sinh(eps) <= 2*eps).  epsilon = 0.05 passes all three.
+[1/2, 4] over the whole thin range, which is proved from the two ends
+of that range, and (c) epsilon < 1/(2 e^2) (which also forces
+sinh(eps) <= 2*eps).  epsilon = 0.05 passes all three.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .collars import Collar, collar_volume, max_half_width, modified_half_width, shell_volume
 from .surfaces import PantsSurface
 
 EPSILON_SMALLNESS_BOUND = 1.0 / (2.0 * math.e**2)
 DEFAULT_EPSILON = 0.05
-_VOLUME_GRID_POINTS = 512
+# the l -> 0 limits of the modified collar and shell areas
+_COLLAR_AREA_LIMIT = 4.0 / math.e**2
+_SHELL_AREA_LIMIT = 4.0 * (math.e - 1.0) / math.e**2
 
 
 class InadmissibleEpsilonError(ValueError):
@@ -63,43 +65,49 @@ class EpsilonChecklist:
         return out
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def epsilon_admissible(epsilon: float) -> EpsilonChecklist:
     """Check the three collar-scale conditions for ``epsilon``.
 
-    The volume condition is verified on a fixed geometric grid of
-    lengths over (0, 2*epsilon] (512 points down to 1e-6 * 2eps); the
-    observed ranges are reported in the checklist.  Both area curves
-    are monotone and flatten toward the analytic l -> 0 limits
-    4/e^2 and 4(e-1)/e^2, so the grid resolution is not delicate.
-    The checklist is frozen, so it is computed once per ``epsilon`` and
-    repeat calls return the same object.
-    """
-    # imported here so that importing this module does not load numpy
-    import numpy as np
+    The volume condition asks that the modified collar area
+    T(l) = 2 l sinh(w - 2) and its shell area
+    S(l) = 2 l (sinh(w - 1) - sinh(w - 2)) lie in [1/2, 4] for every
+    thin length l in (0, 2 eps], where w = w(l) is the maximal
+    half-width and the modified width w - 2 is clamped at 0.  T never
+    increases and S never decreases in l, so two end values decide it:
 
+    * Write x = l/2.  Then sinh w = 1/sinh x and cosh w = coth x.  Let
+      phi(x) = x / sinh x, strictly decreasing since tanh x < x, and
+      psi(x) = x coth x, strictly increasing since sinh 2x > 2x.
+    * While w >= 2, expanding sinh(w - k) gives
+      T = 4 (cosh 2 phi - sinh 2 psi), which decreases, and
+      S = 4 ((sinh 2 - sinh 1) psi - (cosh 2 - cosh 1) phi), which
+      increases.
+    * w decreases in l.  Once w < 2 the modified width is 0, so T = 0
+      and S = 2 l sinh 1; both pieces agree at w = 2.
+    * As l -> 0, phi and psi tend to 1, so T -> 4/e^2 ~ 0.541 and
+      S -> 4(e - 1)/e^2 ~ 0.930; neither limit is attained.
+
+    Over (0, 2 eps] T therefore runs over [T(2 eps), 4/e^2) and S over
+    (4(e - 1)/e^2, S(2 eps)]; these are the checklist's ranges.  Both
+    limits lie inside [1/2, 4], so the condition holds exactly when
+    T(2 eps) >= 1/2 and S(2 eps) <= 4.
+    """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     width_value = max_half_width(epsilon) - 2.0
     width_ok = (width_value >= 1.0) and (1.0 > epsilon)
-    lengths = np.geomspace(2.0 * epsilon * 1e-6, 2.0 * epsilon, _VOLUME_GRID_POINTS)
-    vol_t = np.array([collar_volume(l, modified_half_width(l)) for l in lengths])
-    vol_s = np.array([shell_volume(l, modified_half_width(l)) for l in lengths])
-    volume_ok = bool(
-        (vol_t.min() >= 0.5)
-        and (vol_t.max() <= 4.0)
-        and (vol_s.min() >= 0.5)
-        and (vol_s.max() <= 4.0)
-    )
-    smallness_ok = epsilon < EPSILON_SMALLNESS_BOUND
+    two_eps = 2.0 * epsilon
+    w = modified_half_width(two_eps)
+    t_range = (collar_volume(two_eps, w), _COLLAR_AREA_LIMIT)
+    s_range = (_SHELL_AREA_LIMIT, shell_volume(two_eps, w))
     return EpsilonChecklist(
         epsilon=epsilon,
         width_ok=width_ok,
         width_margin=width_value - 1.0,
-        volume_ok=volume_ok,
-        volume_t_range=(float(vol_t.min()), float(vol_t.max())),
-        volume_s_range=(float(vol_s.min()), float(vol_s.max())),
-        smallness_ok=smallness_ok,
+        volume_ok=all(0.5 <= v <= 4.0 for v in (*t_range, *s_range)),
+        volume_t_range=t_range,
+        volume_s_range=s_range,
+        smallness_ok=epsilon < EPSILON_SMALLNESS_BOUND,
     )
 
 

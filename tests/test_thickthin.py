@@ -1,9 +1,11 @@
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from hypspec.collars import max_half_width
+from hypspec.collars import collar_volume, max_half_width, modified_half_width, shell_volume
 from hypspec.surfaces import (
     ChainFamilyParams,
     build_chain_family,
@@ -47,14 +49,93 @@ def test_admissibility_checklist_numbers():
     assert hi_s == pytest.approx(0.942, abs=2e-2)
 
 
-def test_admissibility_is_memoized_per_epsilon():
-    assert epsilon_admissible(0.05) is epsilon_admissible(0.05)
-    assert epsilon_admissible(0.04) is not epsilon_admissible(0.05)
-    # failures are not cached: every bad epsilon raises on every call
+def test_admissibility_rejects_every_bad_epsilon():
+    # every bad epsilon raises, on every call
     for bad in (math.nan, -0.05, 0.0, math.inf, -math.inf):
         for _ in range(2):
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 epsilon_admissible(bad)
+
+
+def _grid_volume_condition(epsilon):
+    """The sampled volume condition the closed-form ends replaced.
+
+    512 geometric lengths over [1e-6 * 2 eps, 2 eps]:
+    (verdict, (min T, max T), (min S, max S)).
+    """
+    lengths = np.geomspace(2.0 * epsilon * 1e-6, 2.0 * epsilon, 512)
+    vol_t = np.array([collar_volume(l, modified_half_width(l)) for l in lengths])
+    vol_s = np.array([shell_volume(l, modified_half_width(l)) for l in lengths])
+    ok = bool(
+        (vol_t.min() >= 0.5) and (vol_t.max() <= 4.0)
+        and (vol_s.min() >= 0.5) and (vol_s.max() <= 4.0)
+    )
+    return ok, (vol_t.min(), vol_t.max()), (vol_s.min(), vol_s.max())
+
+
+# the last eps with T(2 eps) >= 1/2, where the modified width clamps
+# (w(2 eps) = 2)
+# and where S(2 eps) = 2 (2 eps) sinh 1 = 4
+_VOLUME_EDGES = (0.07504622988579653, math.asinh(1.0 / math.sinh(2.0)), 1.0 / math.sinh(1.0))
+
+
+def test_volume_condition_equals_the_sampled_grid():
+    eps_values = list(np.geomspace(1e-6, 5.0, 400)) + [
+        v for e in _VOLUME_EDGES for v in (math.nextafter(e, 0.0), e, math.nextafter(e, 9.0))
+    ] + [DEFAULT_EPSILON, EPSILON_SMALLNESS_BOUND]
+    assert len(eps_values) >= 400
+    verdicts = set()
+    for eps in map(float, eps_values):
+        checklist = epsilon_admissible(eps)
+        ok, (t_min, t_max), (s_min, s_max) = _grid_volume_condition(eps)
+        assert checklist.volume_ok == ok, eps
+        assert checklist.passed == (ok and checklist.width_ok and checklist.smallness_ok)
+        # the closed ends are the grid's own end samples, bit for bit
+        assert checklist.volume_t_range[0] == t_min, eps
+        assert checklist.volume_s_range[1] == s_max, eps
+        # the open ends are the l -> 0 limits the grid only approaches
+        assert checklist.volume_t_range[1] == 4.0 / math.e**2
+        assert checklist.volume_s_range[0] == 4.0 * (math.e - 1.0) / math.e**2
+        assert t_max == pytest.approx(4.0 / math.e**2, rel=1e-9)
+        assert s_min == pytest.approx(4.0 * (math.e - 1.0) / math.e**2, rel=1e-9)
+        verdicts.add((ok, checklist.passed))
+    # both verdicts occur, on the volume condition and on the whole checklist
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_volume_closed_forms_match_mpmath():
+    # T = 2l sinh(w - 2) = 4 (cosh 2 phi - sinh 2 psi) and
+    # S = 2l (sinh(w - 1) - sinh(w - 2))
+    #   = 4 ((sinh 2 - sinh 1) psi - (cosh 2 - cosh 1) phi),
+    # with x = l/2, phi = x/sinh x and psi = x coth x, while w >= 2
+    with mpmath.workdps(50):
+        two = mpmath.mpf(2)
+        for ell in (1e-6, 1e-3, 0.05, 0.1, 0.3, 0.5):
+            x = mpmath.mpf(ell) / 2
+            w = mpmath.asinh(1 / mpmath.sinh(x))
+            assert w > 2
+            phi, psi = x / mpmath.sinh(x), x * mpmath.coth(x)
+            tube = 2 * mpmath.mpf(ell) * mpmath.sinh(w - 2)
+            shell = 2 * mpmath.mpf(ell) * (mpmath.sinh(w - 1) - mpmath.sinh(w - 2))
+            tube_closed = 4 * (mpmath.cosh(two) * phi - mpmath.sinh(two) * psi)
+            shell_closed = 4 * (
+                (mpmath.sinh(two) - mpmath.sinh(1)) * psi
+                - (mpmath.cosh(two) - mpmath.cosh(1)) * phi
+            )
+            assert abs(tube - tube_closed) < mpmath.mpf(10) ** -40
+            assert abs(shell - shell_closed) < mpmath.mpf(10) ** -40
+            w_mod = modified_half_width(ell)
+            assert collar_volume(ell, w_mod) == pytest.approx(float(tube), rel=1e-12)
+            assert shell_volume(ell, w_mod) == pytest.approx(float(shell), rel=1e-12)
+        # the clamp: at w = 2 both pieces agree
+        ell_star = 2 * mpmath.asinh(1 / mpmath.sinh(two))
+        x = ell_star / 2
+        phi, psi = x / mpmath.sinh(x), x * mpmath.coth(x)
+        assert abs(mpmath.cosh(two) * phi - mpmath.sinh(two) * psi) < mpmath.mpf(10) ** -45
+        shell_closed = 4 * (
+            (mpmath.sinh(two) - mpmath.sinh(1)) * psi - (mpmath.cosh(two) - mpmath.cosh(1)) * phi
+        )
+        assert abs(shell_closed - 2 * ell_star * mpmath.sinh(1)) < mpmath.mpf(10) ** -45
 
 
 def test_smallness_bound_value():
