@@ -38,8 +38,8 @@ from hypspec.surfaces import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_REL = "tests/golden"
+GOLDEN_DIR = ROOT / GOLDEN_REL
 FORCED = ("--epsilon", "0.2", "--force-epsilon")
 METHODS = ("auto", "exhaustive", "bnb")
 
@@ -129,7 +129,7 @@ def transcript(name: str) -> str:
     return "".join(run_command(argv) for argv in TRANSCRIPTS[name])
 
 
-def main_regen() -> None:
+def regenerate() -> None:
     os.chdir(ROOT)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, draw in INPUTS.items():
@@ -141,4 +141,4 @@ def main_regen() -> None:
 
 
 if __name__ == "__main__":
-    main_regen()
+    regenerate()

@@ -51,7 +51,6 @@ def test_max_half_width_past_the_sinh_overflow():
         got = max_half_width(ell)
         assert abs(got - expect) <= math.ulp(expect), ell
         assert modified_half_width(ell) == 0.0
-    assert max_half_width(1421.0) > 0.0
     assert max_half_width(1500.0) == max_half_width(1e300) == 0.0
 
 

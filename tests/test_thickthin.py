@@ -37,7 +37,7 @@ def test_admissibility_checklist_numbers():
     # width margin: arcsinh(1/sinh(eps)) - 2 >= 1 > eps
     assert max_half_width(2 * 0.05) - 2.0 >= 1.0
     assert checklist.width_margin >= 1.0
-    # collar and shell areas over the sampled short lengths
+    # collar and shell areas over the thin range (0, 2 eps]
     lo_t, hi_t = checklist.volume_t_range
     lo_s, hi_s = checklist.volume_s_range
     assert 0.5 <= lo_t <= hi_t <= 4.0
@@ -73,9 +73,8 @@ def _grid_volume_condition(epsilon):
     return ok, (vol_t.min(), vol_t.max()), (vol_s.min(), vol_s.max())
 
 
-# the last eps with T(2 eps) >= 1/2, where the modified width clamps
-# (w(2 eps) = 2)
-# and where S(2 eps) = 2 (2 eps) sinh 1 = 4
+# the last eps with T(2 eps) >= 1/2, the eps where the modified width
+# clamps (w(2 eps) = 2), and the eps where S(2 eps) = 2 (2 eps) sinh 1 = 4
 _VOLUME_EDGES = (0.07504622988579653, math.asinh(1.0 / math.sinh(2.0)), 1.0 / math.sinh(1.0))
 
 
@@ -103,39 +102,34 @@ def test_volume_condition_equals_the_sampled_grid():
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
+def _closed_forms(ell):
+    """T and S of epsilon_admissible's proof, in phi(x) = x/sinh x and psi(x) = x coth x."""
+    x = mpmath.mpf(ell) / 2
+    phi, psi = x / mpmath.sinh(x), x * mpmath.coth(x)
+    tube = 4 * (mpmath.cosh(2) * phi - mpmath.sinh(2) * psi)
+    shell = 4 * ((mpmath.sinh(2) - mpmath.sinh(1)) * psi - (mpmath.cosh(2) - mpmath.cosh(1)) * phi)
+    return tube, shell
+
+
 def test_volume_closed_forms_match_mpmath():
-    # T = 2l sinh(w - 2) = 4 (cosh 2 phi - sinh 2 psi) and
-    # S = 2l (sinh(w - 1) - sinh(w - 2))
-    #   = 4 ((sinh 2 - sinh 1) psi - (cosh 2 - cosh 1) phi),
-    # with x = l/2, phi = x/sinh x and psi = x coth x, while w >= 2
+    tol = mpmath.mpf(10) ** -40
     with mpmath.workdps(50):
-        two = mpmath.mpf(2)
+        # while w >= 2: T = 2l sinh(w - 2) and S = 2l (sinh(w - 1) - sinh(w - 2))
         for ell in (1e-6, 1e-3, 0.05, 0.1, 0.3, 0.5):
-            x = mpmath.mpf(ell) / 2
-            w = mpmath.asinh(1 / mpmath.sinh(x))
+            w = mpmath.asinh(1 / mpmath.sinh(mpmath.mpf(ell) / 2))
             assert w > 2
-            phi, psi = x / mpmath.sinh(x), x * mpmath.coth(x)
-            tube = 2 * mpmath.mpf(ell) * mpmath.sinh(w - 2)
-            shell = 2 * mpmath.mpf(ell) * (mpmath.sinh(w - 1) - mpmath.sinh(w - 2))
-            tube_closed = 4 * (mpmath.cosh(two) * phi - mpmath.sinh(two) * psi)
-            shell_closed = 4 * (
-                (mpmath.sinh(two) - mpmath.sinh(1)) * psi
-                - (mpmath.cosh(two) - mpmath.cosh(1)) * phi
-            )
-            assert abs(tube - tube_closed) < mpmath.mpf(10) ** -40
-            assert abs(shell - shell_closed) < mpmath.mpf(10) ** -40
+            tube = 2 * ell * mpmath.sinh(w - 2)
+            shell = 2 * ell * (mpmath.sinh(w - 1) - mpmath.sinh(w - 2))
+            tube_closed, shell_closed = _closed_forms(ell)
+            assert abs(tube - tube_closed) < tol and abs(shell - shell_closed) < tol
             w_mod = modified_half_width(ell)
             assert collar_volume(ell, w_mod) == pytest.approx(float(tube), rel=1e-12)
             assert shell_volume(ell, w_mod) == pytest.approx(float(shell), rel=1e-12)
-        # the clamp: at w = 2 both pieces agree
-        ell_star = 2 * mpmath.asinh(1 / mpmath.sinh(two))
-        x = ell_star / 2
-        phi, psi = x / mpmath.sinh(x), x * mpmath.coth(x)
-        assert abs(mpmath.cosh(two) * phi - mpmath.sinh(two) * psi) < mpmath.mpf(10) ** -45
-        shell_closed = 4 * (
-            (mpmath.sinh(two) - mpmath.sinh(1)) * psi - (mpmath.cosh(two) - mpmath.cosh(1)) * phi
-        )
-        assert abs(shell_closed - 2 * ell_star * mpmath.sinh(1)) < mpmath.mpf(10) ** -45
+        # at w = 2 the pieces meet the clamped ones, T = 0 and S = 2l sinh 1
+        ell_star = 2 * mpmath.asinh(1 / mpmath.sinh(2))
+        tube_closed, shell_closed = _closed_forms(ell_star)
+        assert abs(tube_closed) < tol
+        assert abs(shell_closed - 2 * ell_star * mpmath.sinh(1)) < tol
 
 
 def test_smallness_bound_value():
