@@ -6,10 +6,10 @@ carries timestamps or machine identifiers.  Exit codes: 0 success,
 2 invalid input, 3 inadmissible epsilon without --force-epsilon,
 4 verification failure.
 
-Each command imports the spectral modules and :mod:`hypspec.verify`
-only when it runs, so ``build``, ``geometry``, ``cuts``, ``thickthin``
-and ``--version`` load no numpy, and ``bounds`` and ``spectrum`` load
-none of the ``verify`` machinery.
+Each command imports the spectral modules, :mod:`hypspec.verify` and
+:mod:`hypspec.cuts` only when it runs: ``build``, ``geometry``,
+``cuts``, ``thickthin`` and ``--version`` load no numpy, ``bounds`` and
+``spectrum`` no ``verify`` machinery, and ``verify`` no cut search.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import __version__
 from .collars import collar_volume, max_half_width, modified_half_width, shell_volume
-from .cuts import bers_upper_bound, make_multicut, min_separating_length
 from .surfaces import (
     ChainFamilyParams,
     InvalidSurfaceError,
@@ -119,6 +118,8 @@ def cmd_thickthin(args) -> int:
 
 
 def cmd_cuts(args) -> int:
+    from .cuts import bers_upper_bound, min_separating_length
+
     surface = _surface_from_args(args)
     cut = min_separating_length(surface, args.i, method=args.method)
     bers = bers_upper_bound(args.i, surface.genus)
@@ -172,6 +173,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .cuts import make_multicut
     from .spectral.report import assemble_report
 
     surface = _surface_from_args(args)

@@ -16,11 +16,12 @@ final inequality transfer back to the original system.
 
 Every computation runs on an :class:`IntervalStack`: many systems
 padded to one width, drawn and reduced together with numpy; a single
-system is a stack with ``count == 1``.  Each sum is taken pair by pair
-in row order, one numpy operation per pair across the whole stack.
-The padding is stored as zeros, so a padded pair adds a signed zero,
-which leaves a sum that starts at +0.0 unchanged: each system gets
-exactly the float operations, in the same order, of reducing it alone.
+system is a stack with ``count == 1``.  Each sum gathers its terms,
+pair by pair in row order, into one C-contiguous (terms, systems)
+array that ``np.add.reduce`` adds to +0.0 row after row.  The padding
+is stored as zeros, so a padded pair adds a signed zero, which leaves
+a sum that starts at +0.0 unchanged: each system gets exactly the
+float operations, in the same order, of reducing it alone.
 ``random_interval_systems`` draws a whole stack with one generator
 call for the sizes and one per size drawn; each system has the law of
 drawing it alone.
@@ -31,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+CUT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,9 @@ def _check_systems(n, a, b, w, live, pair) -> None:
 
 def _gap_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum over i < j of w[i, j] * (a_j - b_i), pair by pair in row order."""
-    terms = (w * (a[:, None, :] - b[:, :, None])).transpose(1, 2, 0)
-    total = np.zeros(len(a))
-    for i in range(a.shape[1]):
-        for j in range(i + 1, a.shape[1]):
-            total += terms[i, j]
-    return total
+    i, j = np.triu_indices(a.shape[1], 1)
+    terms = np.ascontiguousarray((w[:, i, j] * (a[:, j] - b[:, i])).T)
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def weighted_gap_sums(stack: IntervalStack) -> np.ndarray:
@@ -126,13 +126,12 @@ def crossing_weights(stack: IntervalStack) -> np.ndarray:
     Each column adds its pairs in row order; entries at K0 >= n are 0.
     """
     width = stack.a.shape[1]
-    w = stack.weights.transpose(1, 2, 0)
-    out = np.zeros((max(width - 1, 0), stack.count))
-    for k in range(1, width):
-        for i in range(k):
-            for j in range(k, width):
-                out[k - 1] += w[i, j]
-    return out.T
+    i, j = np.triu_indices(width, 1)
+    k = np.arange(1, width)
+    # every pair in row order; one outside a column adds +0.0 to it
+    crosses = ((i[:, None] < k) & (k <= j[:, None]))[:, :, None]
+    terms = np.where(crosses, stack.weights[:, i, j].T[:, None, :], 0.0)
+    return np.add.reduce(np.ascontiguousarray(terms), axis=0, initial=0.0).T
 
 
 def total_gaps(stack: IntervalStack) -> np.ndarray:
@@ -143,10 +142,11 @@ def total_gaps(stack: IntervalStack) -> np.ndarray:
     return last - stack.a[:, 0] - inside
 
 
-def cut_inequality_verdicts(stack: IntervalStack, *, rtol: float = 1e-12) -> np.ndarray:
+def cut_inequality_verdicts(stack: IntervalStack) -> np.ndarray:
     """(count, N - 1) booleans: the cut inequality at K0 = column + 1.
 
-    weighted gap sum >= total gap * crossing weight, up to ``rtol``;
+    weighted gap sum >= total gap * crossing weight, up to a roundoff
+    slack of :data:`CUT_RTOL` times the larger side (or 1);
     a nonpositive right-hand side makes it vacuous (the ordering
     invariant keeps total_gap >= 0, so this only happens with zero
     crossing weight).  Entries at K0 >= n are False.
@@ -154,7 +154,7 @@ def cut_inequality_verdicts(stack: IntervalStack, *, rtol: float = 1e-12) -> np.
     lhs = weighted_gap_sums(stack)[:, None]
     rhs = total_gaps(stack)[:, None] * crossing_weights(stack)
     scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-    holds = lhs >= rhs - rtol * scale
+    holds = lhs >= rhs - CUT_RTOL * scale
     return holds & (np.arange(1, stack.a.shape[1]) < stack.n[:, None])
 
 

@@ -11,12 +11,13 @@ generators are pure functions of the supplied RNG.
 Function k of a corpus lives on shape ``k % len(shapes)``.  Every
 function's parameters are drawn first, as whole arrays over the
 corpus; the functions of each shape are then built together as one
-stacked :class:`CollarGridFunction`, held by its factors: a crossing
-stack as its (k, rows, 3) radial polynomials times its (k, 3, n_t)
-waves, a cutoff stack as its (k, rows, 1) profiles times its (k, 1,
-n_t) modulations.  No node grid is formed; the energies reduce on the
-factors.  The crossing corpus returns the list of its shapes' stacks,
-the cutoff corpus the list of its shapes' (stack, floors).
+stacked :class:`CollarGridFunction` on the grid named by the shape
+and the corpus's sizes, held by its factors: a crossing stack as its
+(k, rows, 3) radial polynomials times its (k, 3, n_t) waves, a cutoff
+stack as its (k, rows, 1) profiles times its (k, 1, n_t) modulations.
+No node grid is formed; the energies reduce on the factors.  The
+crossing corpus returns the list of its shapes' stacks, the cutoff
+corpus the list of its shapes' (stack, floors).
 The crossing corpus draws four arrays, in this order: every degree,
 every coefficient (four rows per function, those above its degree set
 to zero), every frequency triple, every phase triple; each function
@@ -79,7 +80,8 @@ def crossing_corpus(rng: np.random.Generator, count: int) -> list[CollarGridFunc
 
 def _trig_stack(ell: float, half_width: float, coeffs, freqs, phases) -> CollarGridFunction:
     """One stacked grid function per row of the drawn trig-polynomial parameters."""
-    rho, t = _grid(half_width, False, CROSSING_N_RHO, CROSSING_N_T)
+    grid = (half_width, False, CROSSING_N_RHO, CROSSING_N_T)
+    rho, t = _grid(*grid)
     # the radial polynomials, built as (k, 3, rows) one term c_j x^j at
     # a time, so each sum runs along a row of nodes, and handed over
     # transposed as (k, rows, 3); degrees above a function's own have
@@ -92,7 +94,7 @@ def _trig_stack(ell: float, half_width: float, coeffs, freqs, phases) -> CollarG
     del term
     # (k, 3, n_t) waves, one row per term m
     waves = np.cos(2.0 * math.pi * freqs[:, :, None] * t + phases[:, :, None])
-    return CollarGridFunction(ell, half_width, False, rho, t, poly.transpose(0, 2, 1), waves)
+    return CollarGridFunction(ell, *grid, poly.transpose(0, 2, 1), waves)
 
 
 def _plateau_stack(
@@ -104,11 +106,12 @@ def _plateau_stack(
     of the stack; the factors are the (k, rows, 1) profiles and the
     (k, 1, n_t) modulations.
     """
-    rho, t = _grid(half_width, True, CUTOFF_N_RHO, CUTOFF_N_T)
+    grid = (half_width, True, CUTOFF_N_RHO, CUTOFF_N_T)
+    rho, t = _grid(*grid)
     s = np.clip((np.abs(rho[:, None]) - taper_start) / (half_width - taper_start), 0.0, 1.0)
     base = residual + (1.0 - residual) * 0.5 * (1.0 + np.cos(math.pi * s))
     wave = 1.0 + modulation * np.cos(2.0 * math.pi * t + phase)
-    return CollarGridFunction(ell, half_width, True, rho, t, base, wave)
+    return CollarGridFunction(ell, *grid, base, wave)
 
 
 def _uniform(u, lo: float, hi: float):
@@ -163,6 +166,5 @@ def cutoff_corpus(
             sigma[p] *= 0.5
             modulation[p] *= 0.5
             f = _plateau_stack(ell, w, taper_start[p], sigma[p], modulation[p], phase[p])
-        stack = CollarGridFunction(ell, w, True, f.rho, f.t, radial, circular)
-        out.append((stack, floors))
+        out.append((f.with_factors(radial, circular), floors))
     return out

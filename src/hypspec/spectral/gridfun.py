@@ -10,9 +10,9 @@ against the area element l cosh(rho) drho dt, with
     |grad f|^2 = (df/drho)^2 + (df/dt)^2 / (l cosh rho)^2.
 
 A grid function holds its node values as a radial factor P of shape
-(..., n_rho, r) times a circular factor C of shape (..., r, n_t): a
-separable function of rank r keeps its r radial profiles and its r
-waves, and a constant is ones times ones.  ``values`` forms the product
+(..., rows, r), one row per rho node, times a circular factor C of
+shape (..., r, n_t): a separable function of rank r keeps its r radial
+profiles and its r waves, and a constant is ones times ones.  ``values`` forms the product
 on demand.  A single function has no leading axes; a stack of
 functions on the same grid has them, and every energy and check
 returns one number per function of the stack: a scalar for a single
@@ -33,9 +33,9 @@ circular difference D are zero, and so is S.
 An energy over the "core" or the "shell" reads only the radial rows of
 that region; the quadrature weights are those of the whole grid
 restricted to the region, so a region's energy equals its share of
-the whole-grid sum.  Each grid's nodes, and each region's rows and
-weights, are built once per grid and shared, read-only, by every
-later call on that grid; each grid function's roots are taken once.
+the whole-grid sum.  A grid is named by its parameters, not its nodes;
+its nodes, and each region's rows and weights, are built once per grid
+and shared, read-only; each grid function's roots are taken once.
 The weights come pre-divided: the mass weights by n_t, the radial
 Dirichlet weights by the squared radial step and by n_t, the circular
 ones multiplied by n_t (1/dt^2 times dt), so no difference is divided.
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _REGIONS = ("all", "core", "shell")
+CHECK_RTOL = 1e-9
 
 
 class HypothesisNotMet(ValueError):
@@ -112,7 +113,9 @@ def _grid(half_width: float, has_shell: bool, n_rho: int, n_t: int):
 class CollarGridFunction:
     """A function, or a stack of them, on a collar (optionally with its shell).
 
-    Held as a radial factor ``radial`` of shape (..., n_rho, r) times a
+    Its grid's nodes :attr:`rho` and :attr:`t` are those ``_grid``
+    builds from ``half_width``, ``has_shell``, ``n_rho`` and ``n_t``.
+    Held as a radial factor ``radial`` of shape (..., rho.size, r) times a
     circular factor ``circular`` of shape (..., r, n_t); the leading
     axes of the two broadcast to the stack's shape.  The node values
     are formed on demand as :attr:`values`.  The grid function keeps
@@ -124,43 +127,36 @@ class CollarGridFunction:
     ell: float
     half_width: float
     has_shell: bool
-    rho: np.ndarray
-    t: np.ndarray
+    n_rho: int
+    n_t: int
     radial: np.ndarray
     circular: np.ndarray
 
     def __post_init__(self):
         _require_positive_finite("ell", self.ell)
-        _require_positive_finite("half_width", self.half_width)
-        # the nodes must be those _grid builds for this width: walls and
-        # regions are found on them
-        w, rho = self.half_width, np.asarray(self.rho)
-        ends = (-w - 1.0, w + 1.0) if self.has_shell else (-w, w)
-        if (
-            rho.ndim != 1
-            or rho.size < 2
-            or (rho[0], rho[-1]) != ends
-            or (self.has_shell and not (-w in rho and w in rho))
-        ):
-            shell = "with" if self.has_shell else "without"
-            raise ValueError(
-                f"rho nodes do not span the collar of half_width={w!r} {shell} its shell"
-            )
         # C order, so a stack's radial rows read as one flat run (_radial_diff)
         for name in ("radial", "circular"):
             factor = np.array(getattr(self, name), dtype=float, order="C")
             factor.setflags(write=False)
             object.__setattr__(self, name, factor)
-        n_rho, n_t = self.rho.size, self.t.size
+        rows, n_t = self.rho.size, self.t.size  # _grid checks the parameters
         p, c = self.radial.shape, self.circular.shape
-        if len(p) < 2 or len(c) < 2 or (p[-2], c[-1], p[-1]) != (n_rho, n_t, c[-2]):
+        if len(p) < 2 or len(c) < 2 or (p[-2], c[-1], p[-1]) != (rows, n_t, c[-2]):
             raise ValueError(
-                f"factors must be (..., {n_rho}, r) and (..., r, {n_t}), got {p} and {c}"
+                f"factors must be (..., {rows}, r) and (..., r, {n_t}), got {p} and {c}"
             )
 
     @property
+    def rho(self) -> np.ndarray:
+        return _grid(self.half_width, self.has_shell, self.n_rho, self.n_t)[0]
+
+    @property
+    def t(self) -> np.ndarray:
+        return _grid(self.half_width, self.has_shell, self.n_rho, self.n_t)[1]
+
+    @property
     def values(self) -> np.ndarray:
-        """Node values ``np.matmul(radial, circular)``, of shape (..., n_rho, n_t)."""
+        """Node values ``np.matmul(radial, circular)``, of shape (..., rho.size, n_t)."""
         return np.matmul(self.radial, self.circular)
 
     @functools.cached_property
@@ -224,16 +220,15 @@ def _region_rows(f: CollarGridFunction, region: str) -> _RegionRows:
         raise ValueError(f"region must be one of {_REGIONS}, got {region!r}")
     if region == "shell" and not f.has_shell:
         raise ValueError("grid function has no shell")
-    rho = np.asarray(f.rho, dtype=float)
-    return _quadrature(f.ell, f.half_width, rho.tobytes(), f.t.size, region)
+    return _quadrature(f.ell, f.half_width, f.has_shell, f.n_rho, f.n_t, region)
 
 
 @functools.lru_cache(maxsize=128)
 def _quadrature(
-    ell: float, half_width: float, rho_bytes: bytes, n_t: int, region: str
+    ell: float, half_width: float, has_shell: bool, n_rho: int, n_t: int, region: str
 ) -> _RegionRows:
-    """The region's rows and weights on the grid of nodes ``rho_bytes`` by ``n_t``."""
-    rho = np.frombuffer(rho_bytes)
+    """The region's rows and weights on the collar grid of these parameters."""
+    rho = _grid(half_width, has_shell, n_rho, n_t)[0]
     h = np.diff(rho)
     mids = 0.5 * (rho[:-1] + rho[1:])
     if region == "all":
@@ -334,19 +329,19 @@ class CrossingCheck:
     passed: bool | np.ndarray
 
 
-def crossing_energy_check(f: CollarGridFunction, *, rtol: float = 1e-9) -> CrossingCheck:
+def crossing_energy_check(f: CollarGridFunction) -> CrossingCheck:
     """Verify energy(T) >= c^2 l / 4 with c the min wall-to-wall gap.
 
     The gap is minimized over reflection-paired wall points (-w, t)
     and (w, t).  The sharp constant in the underlying bound is
-    pi/(4 gd(w)) > 1, so honest quadrature passes with margin; rtol
-    only absorbs roundoff.
+    pi/(4 gd(w)) > 1, so honest quadrature passes with margin; the
+    slack :data:`CHECK_RTOL` times max(1, bound) only absorbs roundoff.
     """
     walls = np.matmul(f.radial[..., list(f.wall_indices()), :], f.circular)
     c = np.abs(walls[..., 1, :] - walls[..., 0, :]).min(axis=-1)
     energy = dirichlet_energy(f, region="core" if f.has_shell else "all")
     bound = c * c * f.ell / 4.0
-    passed = energy >= bound - rtol * np.maximum(1.0, bound)
+    passed = energy >= bound - CHECK_RTOL * np.maximum(1.0, bound)
     return CrossingCheck(crossing_gap=c, energy=energy, bound=bound, passed=passed)
 
 
@@ -375,9 +370,7 @@ class CutoffCheck:
         return self.intermediate_ok & self.final_ok
 
 
-def cutoff_extension_check(
-    f: CollarGridFunction, delta: float, mass_floor, *, rtol: float = 1e-9
-) -> CutoffCheck:
+def cutoff_extension_check(f: CollarGridFunction, delta: float, mass_floor) -> CutoffCheck:
     """Verify the cutoff-extension bound for a collar-with-shell function.
 
     Hypotheses (checked, not assumed; violation raises
@@ -392,7 +385,8 @@ def cutoff_extension_check(
     preserves that inequality exactly (checked as
     ``intermediate_ok``).  Since F vanishes on the outer boundary and
     any collar supports no Dirichlet energy below 1/4, the core energy
-    of f must be at least (1 - 16 delta) c / 4 (``final_ok``).
+    of f must be at least (1 - 16 delta) c / 4 (``final_ok``).  Both
+    comparisons allow the roundoff slack :data:`CHECK_RTOL` times max(1, bound).
     """
     if not f.has_shell:
         raise ValueError("cutoff extension needs a grid function with shell")
@@ -415,13 +409,12 @@ def cutoff_extension_check(
     factor = np.minimum(1.0, f.half_width + 1.0 - np.abs(shell.rho))
     shell_extension_energy = _dirichlet(shell, shell_radial * factor[:, None], roots)
     shell_extension_bound = 2.0 * shell_mass + 2.0 * shell_energy
-    intermediate_ok = shell_extension_energy <= shell_extension_bound + rtol * np.maximum(
-        1.0, shell_extension_bound
-    )
+    slack = CHECK_RTOL * np.maximum(1.0, shell_extension_bound)
+    intermediate_ok = shell_extension_energy <= shell_extension_bound + slack
 
     core_energy = dirichlet_energy(f, "core")
     final_bound = (1.0 - 16.0 * delta) * mass_floor / 4.0
-    final_ok = core_energy >= final_bound - rtol * np.maximum(1.0, final_bound)
+    final_ok = core_energy >= final_bound - CHECK_RTOL * np.maximum(1.0, final_bound)
     return CutoffCheck(
         delta=delta,
         mass_floor=mass_floor,

@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..collars import gudermannian, max_half_width, modified_half_width
-from ..cuts import Multicut
 from ..surfaces import PantsSurface, _union_find
 from ..thickthin import ThickThinDecomposition
+
+if TYPE_CHECKING:  # the cut search is loaded only by the commands that cut
+    from ..cuts import Multicut
 
 PANTS_MASS = 2.0 * math.pi
 DENSE_NODE_LIMIT = 512
@@ -55,7 +58,10 @@ def collar_conductance(length: float, half_width: float) -> float:
     gd = gudermannian(half_width)
     if gd == 0.0:  # w/2 rounds to 0 for the smallest subnormal w
         raise ValueError(f"half_width {half_width} is too small: gd(w) underflows to 0")
-    return length / (2.0 * gd)
+    conductance = length / (2.0 * gd)
+    if not math.isfinite(conductance):  # gd(w) is subnormal past l ~ 1407.9
+        raise ValueError(f"conductance is not finite at length {length}, half_width {half_width}")
+    return conductance
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,12 @@ def epsilon_admissible(epsilon: float) -> EpsilonChecklist:
     width_value = max_half_width(epsilon) - 2.0
     width_ok = (width_value >= 1.0) and (1.0 > epsilon)
     two_eps = 2.0 * epsilon
-    w = modified_half_width(two_eps)
-    t_range = (collar_volume(two_eps, w), _COLLAR_AREA_LIMIT)
-    s_range = (_SHELL_AREA_LIMIT, shell_volume(two_eps, w))
+    if math.isfinite(two_eps):
+        w = modified_half_width(two_eps)
+        t_range = (collar_volume(two_eps, w), _COLLAR_AREA_LIMIT)
+        s_range = (_SHELL_AREA_LIMIT, shell_volume(two_eps, w))
+    else:  # 2 eps overflows: the l -> inf ends, w = 0 so T = 0 and S = 2 l sinh 1
+        t_range, s_range = (0.0, _COLLAR_AREA_LIMIT), (_SHELL_AREA_LIMIT, math.inf)
     return EpsilonChecklist(
         epsilon=epsilon,
         width_ok=width_ok,

@@ -36,7 +36,7 @@ from .spectral import (
 )
 from .spectral.corpus import crossing_corpus, cutoff_corpus
 from .surfaces import ChainFamilyParams, build_chain_family
-from .thickthin import decompose, epsilon_admissible
+from .thickthin import _COLLAR_AREA_LIMIT, _SHELL_AREA_LIMIT, decompose, epsilon_admissible
 
 
 def check_collar_identity(rng: np.random.Generator) -> tuple[int, int]:
@@ -63,11 +63,9 @@ def check_epsilon_constants(rng: np.random.Generator) -> tuple[int, int]:
         passed += 1
     ell = 1e-6
     w_mod = modified_half_width(ell)
-    limit_t = 4.0 / math.e**2
-    limit_s = 4.0 * (math.e - 1.0) / math.e**2
     for value, limit in (
-        (collar_volume(ell, w_mod), limit_t),
-        (shell_volume(ell, w_mod), limit_s),
+        (collar_volume(ell, w_mod), _COLLAR_AREA_LIMIT),
+        (shell_volume(ell, w_mod), _SHELL_AREA_LIMIT),
     ):
         total += 1
         if abs(value - limit) < 1e-3:
@@ -144,12 +142,8 @@ def check_interval_cut(rng: np.random.Generator) -> tuple[int, int]:
 
 def check_crossing_energy(rng: np.random.Generator) -> tuple[int, int]:
     """The crossing energy bound on 200 random collar functions."""
-    passed = total = 0
-    for stack in crossing_corpus(rng, 200):
-        ok = crossing_energy_check(stack).passed
-        passed += int(np.count_nonzero(ok))
-        total += ok.size
-    return passed, total
+    ok = np.concatenate([crossing_energy_check(f).passed for f in crossing_corpus(rng, 200)])
+    return int(np.count_nonzero(ok)), ok.size
 
 
 def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
@@ -163,12 +157,9 @@ def check_cutoff_extension(rng: np.random.Generator) -> tuple[int, int]:
     that hands it a function outside them raises instead of passing
     silently.
     """
-    passed = total = 0
-    for stack, floors in cutoff_corpus(rng, 100):
-        ok = cutoff_extension_check(stack, 1.0 / 64.0, floors).passed
-        passed += int(np.count_nonzero(ok))
-        total += ok.size
-    return passed, total
+    corpus = cutoff_corpus(rng, 100)
+    ok = np.concatenate([cutoff_extension_check(f, 1.0 / 64.0, c).passed for f, c in corpus])
+    return int(np.count_nonzero(ok)), ok.size
 
 
 def check_collar_ode(rng: np.random.Generator) -> tuple[int, int]:

@@ -41,7 +41,7 @@ def _trig_polynomial(ell: float, half_width: float, rho_coeffs, freqs, phases):
     x = rho / half_width
     poly = np.stack([sum(rho_coeffs[j, m] * x**j for j in range(degree + 1)) for m in range(3)])
     wave = np.cos(2.0 * math.pi * freqs[:, None] * t + phases[:, None])
-    return CollarGridFunction(ell, half_width, False, rho, t, poly.T, wave)
+    return CollarGridFunction(ell, half_width, False, 128, 32, poly.T, wave)
 
 
 def _draw_crossing(rng: np.random.Generator, count: int):
@@ -122,7 +122,7 @@ def cutoff_corpus(rng: np.random.Generator, count: int, *, delta=1.0 / 64.0):
         while True:
             base = _plateau_profile(w, taper_start, sigma)
             wave = 1.0 + modulation * np.cos(2.0 * math.pi * t + phase)
-            f = CollarGridFunction(ell, w, True, rho, t, base(rho)[:, None], wave[None, :])
+            f = CollarGridFunction(ell, w, True, 192, 32, base(rho)[:, None], wave[None, :])
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
             if l2_norm_sq(f, "shell") <= budget and dirichlet_energy(f, "shell") <= budget:

@@ -265,6 +265,14 @@ def test_curves_longer_than_the_sinh_overflow_end_in_exit_codes(tmp_path, capsys
     assert code == EXIT_INVALID_INPUT
     assert out == ""
     assert err == "error: half_width 5e-324 is too small: gd(w) underflows to 0\n"
+    # and before that, to a subnormal whose l / (2 gd(w)) overflows: no Infinity is printed
+    for e in desc["edges"]:
+        e["length"] = 1450.0
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "bounds", "--input", str(path))
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: conductance is not finite at length 1450.0, half_width 2.73861269e-315\n"
     code, out, err = run(
         capsys, "thickthin", "--family", "chain", "--genus", "3", "--length", "0.09",
         "--epsilon", "800",
@@ -272,6 +280,18 @@ def test_curves_longer_than_the_sinh_overflow_end_in_exit_codes(tmp_path, capsys
     assert code == EXIT_INADMISSIBLE_EPSILON
     assert out == ""
     assert err.startswith("error: epsilon=800.0 fails: width") and err.count("\n") == 1
+    # 2 eps overflows: the volume condition fails at its l -> inf ends
+    code, out, err = run(
+        capsys, "thickthin", "--family", "chain", "--genus", "3", "--length", "0.09",
+        "--epsilon", "1e308",
+    )
+    assert code == EXIT_INADMISSIBLE_EPSILON
+    assert out == ""
+    assert err == (
+        "error: epsilon=1e+308 fails: width (arcsinh(1/sinh eps) - 2 >= 1 > eps), "
+        "volume (collar/shell areas outside [1/2, 4]), "
+        "smallness (eps >= 1/(2e^2) = 0.067667642)\n"
+    )
 
 
 def test_exit_code_inadmissible_epsilon(capsys):
@@ -437,6 +457,22 @@ def test_a_fresh_report_command_never_loads_the_verify_modules(fresh_runs, argv)
         "hypspec.spectral.corpus",
     }
     assert not modules & verify_modules
+
+
+CUTLESS_COMMANDS = [
+    ("--version",),
+    ("build", *CHAIN10),
+    ("geometry", *CHAIN10),
+    ("thickthin", *CHAIN10),
+    ("verify", "--seed", "42"),
+]
+
+
+@pytest.mark.parametrize("argv", CUTLESS_COMMANDS, ids=" ".join)
+def test_a_fresh_command_that_cuts_nothing_never_loads_the_cut_search(fresh_runs, argv):
+    code, _, modules = fresh_runs[argv]
+    assert code == EXIT_OK
+    assert "hypspec.cuts" not in modules
 
 
 SPECTRAL_COMMANDS = [

@@ -4,6 +4,7 @@ A change that moves output on purpose rewrites them with
 ``PYTHONPATH=src python tests/regen_golden.py``; see that script.
 """
 import difflib
+import json
 
 import pytest
 
@@ -31,3 +32,35 @@ def test_cli_output_matches_its_golden_transcript(name, monkeypatch):
 def test_golden_directory_holds_exactly_the_listed_files():
     expected = {f"{n}.txt" for n in TRANSCRIPTS} | {f"{n}.json" for n in INPUTS}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
+
+
+# the commands whose stdout is one JSON document
+JSON_COMMANDS = ("build", "thickthin", "cuts", "spectrum", "bounds")
+
+
+def _golden_json_documents():
+    """(where, text) for every surface input and every JSON stdout in a transcript."""
+    for path in sorted(GOLDEN_DIR.iterdir()):
+        if path.suffix == ".json":
+            yield path.name, path.read_text()
+            continue
+        for block in path.read_text().split("\n$ hypspec ")[1:]:
+            argv, rest = block.split("\n", 1)
+            out = rest.rsplit("[exit ", 1)[0]
+            if argv.split()[0] in JSON_COMMANDS and out:
+                yield f"{path.name}: hypspec {argv}", out
+
+
+def _reject(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_every_golden_json_document_is_strict_json():
+    # json.dumps writes Infinity and NaN, which no strict JSON reader accepts
+    docs = list(_golden_json_documents())
+    assert len(docs) > 90
+    for where, text in docs:
+        try:
+            json.loads(text, parse_constant=_reject)
+        except ValueError as exc:
+            pytest.fail(f"{where}: {exc}", pytrace=False)
