@@ -9,7 +9,8 @@ carries timestamps or machine identifiers.  Exit codes: 0 success,
 Each command imports the spectral modules, :mod:`hypspec.verify` and
 :mod:`hypspec.cuts` only when it runs: ``build``, ``geometry``,
 ``cuts``, ``thickthin`` and ``--version`` load no numpy, ``bounds`` and
-``spectrum`` no ``verify`` machinery, and ``verify`` no cut search.
+``spectrum`` no ``verify`` machinery, and ``spectrum`` and ``verify``
+no cut search.
 """
 from __future__ import annotations
 
@@ -121,14 +122,13 @@ def cmd_cuts(args) -> int:
     from .cuts import bers_upper_bound, min_separating_length
 
     surface = _surface_from_args(args)
-    cut = min_separating_length(surface, args.i, method=args.method)
+    cut = min_separating_length(surface, args.i)
     bers = bers_upper_bound(args.i, surface.genus)
     _emit(
         args,
         _json_text(
             {
                 "i": args.i,
-                "method": args.method,
                 "edge_labels": list(cut.edge_labels),
                 "total_length": cut.total_length,
                 "component_count": cut.component_count,
@@ -250,13 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cuts", help="minimal separating curve system (JSON)")
     _add_surface_args(p)
     p.add_argument("--i", type=int, required=True, help="target component surplus")
-    p.add_argument(
-        "--method",
-        choices=["auto", "exhaustive", "bnb"],
-        default="auto",
-        help="auto: exact minimum cut for i=1, exhaustive (<= 20 curves) or "
-        "branch-and-bound for i>=2",
-    )
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_cuts)
 

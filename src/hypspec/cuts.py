@@ -6,18 +6,17 @@ curves this is a minimum-weight edge-subset problem on the dual
 multigraph: find the cheapest edge set whose removal leaves >= i+1
 connected components.
 
-``min_separating_length(method="auto")`` solves i = 1 exactly as a
-global minimum edge cut (bridges, then Stoer-Wagner on each
-2-edge-connected block) in polynomial time.  Before Stoer-Wagner runs,
-every block edge that outweighs the block's cheapest single-pants star,
-or the best cut found so far, is contracted: no minimum cut holds it
-(Padberg & Rinaldi, Math. Programming 47, 1990), so the optimum and its
-tie-break are unchanged (see ``_min_cut_global``).  For i >= 2 it uses an
-exhaustive Gray-code scan up to 20 edges and a best-first
-branch-and-bound beyond, under a node budget.  Every method compares the
-exact integer key sums of ``_cut_keys``: ties are exact ties of the
-summed lengths and break toward the lexicographically smallest label
-tuple, so all methods return the same edge set.  ``bers_upper_bound``
+``min_separating_length`` runs one search per problem.  It solves
+i = 1 exactly as a global minimum edge cut (bridges, then Stoer-Wagner
+on each 2-edge-connected block) in polynomial time.  Before
+Stoer-Wagner runs, every block edge that outweighs the block's cheapest
+single-pants star, or the best cut found so far, is contracted: no
+minimum cut holds it (Padberg & Rinaldi, Math. Programming 47, 1990),
+so the optimum and its tie-break are unchanged (see
+``_min_cut_global``).  Every i >= 2 runs a best-first branch-and-bound
+under a node budget.  Both compare the exact integer key sums of
+``_cut_keys``: ties are exact ties of the summed lengths and break
+toward the lexicographically smallest label tuple.  ``bers_upper_bound``
 gives the classical existence bound 78 i (g-1).
 """
 from __future__ import annotations
@@ -28,10 +27,11 @@ from dataclasses import dataclass
 
 from .surfaces import PantsSurface, _union_find
 
-EXHAUSTIVE_EDGE_LIMIT = 20
 # Heap pushes allowed to one branch-and-bound search, which also caps the
-# heap's length: 12x the 101 584 pushes of the hardest search in the test
-# suite (chain genus 10, i = 5).
+# heap's length: about 37x the 32 768 pushes of the hardest search in the test
+# suite (the golden genus-6 surface random-g6-s4-short at i = 9, which
+# pushes all 2^15 subsets).  A search on m curves pushes at most 2^m nodes,
+# so every surface of genus <= 7 (m <= 18) stays under it.
 BNB_NODE_BUDGET = 1_200_000
 
 
@@ -73,36 +73,6 @@ def make_multicut(surface: PantsSurface, labels) -> Multicut:
 def _validate_i(genus: int, i: int) -> None:
     if not 1 <= i <= 2 * genus - 3:
         raise ValueError(f"i must satisfy 1 <= i <= 2g-3 = {2 * genus - 3}, got {i}")
-
-
-# ===================================================================
-# exhaustive search (small edge counts)
-# ===================================================================
-
-def _min_cut_exhaustive(surface: PantsSurface, i: int) -> Multicut:
-    """Every nonempty edge set in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1).
-
-    One key of :func:`_cut_keys` enters or leaves the running sum per
-    step; components are counted only below the best separating sum.
-    """
-    edges = surface.edges
-    keys = _cut_keys(edges)
-    graph = surface._graph
-    m = len(keys)
-    target = i + 1
-    best_sum = best_mask = None
-    mask = total = 0
-    for step in range(1, 1 << m):
-        j = (step & -step).bit_length() - 1
-        mask ^= 1 << j
-        total += keys[j] if mask >> j & 1 else -keys[j]
-        if best_sum is not None and total >= best_sum:
-            continue
-        if len(set(graph.roots(k for k in range(m) if not mask >> k & 1))) >= target:
-            best_sum, best_mask = total, mask
-    if best_mask is None:
-        raise ValueError(f"no edge subset separates the surface into {target} components")
-    return make_multicut(surface, [e.label for k, e in enumerate(edges) if best_mask >> k & 1])
 
 
 # ===================================================================
@@ -330,7 +300,8 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
     """Best-first search over canonical subsets.
 
     Children extend a subset only with higher edge indices, so each
-    subset is enumerated once; the heap pops by key sum
+    subset is pushed at most once, and a search on m edges pushes at
+    most 2^m nodes, the root included; the heap pops by key sum
     (:func:`_cut_keys`), so the first separating pop is the unique
     optimum.  Pops of fewer than i curves are not tested: each curve
     adds at most one piece.  A greedy incumbent caps queue growth:
@@ -376,33 +347,20 @@ def _min_cut_branch_and_bound(surface: PantsSurface, i: int) -> Multicut:
     raise ValueError(f"no edge subset separates the surface into {target} components")
 
 
-def min_separating_length(
-    surface: PantsSurface, i: int, *, method: str = "auto"
-) -> Multicut:
+def min_separating_length(surface: PantsSurface, i: int) -> Multicut:
     """Cheapest pants-curve set splitting the surface into >= i+1 pieces.
 
     Ties are exact ties of the summed lengths and break toward the
-    lexicographically smallest label tuple, so every method returns the
-    same edge set.  ``method`` is "exhaustive", "bnb", or "auto": for
-    i = 1 the exact global minimum cut (bridges, then Stoer-Wagner), for
-    i >= 2 exhaustive up to 20 edges and branch-and-bound beyond.
-    Branch-and-bound raises a ValueError past ``BNB_NODE_BUDGET`` nodes.
+    lexicographically smallest label tuple.  i = 1 is the exact global
+    minimum cut (bridges, then Stoer-Wagner); every i >= 2 runs
+    branch-and-bound, which raises a ValueError past ``BNB_NODE_BUDGET``
+    nodes.  It pushes at most 2^m nodes on m curves, so no surface of
+    at most 20 curves (genus <= 7) can reach the budget.
     """
     _validate_i(surface.genus, i)
-    if method == "auto":
-        if i == 1:
-            return _min_cut_global(surface)
-        method = "exhaustive" if len(surface.edges) <= EXHAUSTIVE_EDGE_LIMIT else "bnb"
-    if method == "exhaustive":
-        if len(surface.edges) > EXHAUSTIVE_EDGE_LIMIT + 6:
-            raise ValueError(
-                f"exhaustive search capped at {EXHAUSTIVE_EDGE_LIMIT + 6} edges, "
-                f"surface has {len(surface.edges)}"
-            )
-        return _min_cut_exhaustive(surface, i)
-    if method == "bnb":
-        return _min_cut_branch_and_bound(surface, i)
-    raise ValueError(f"unknown method {method!r}")
+    if i == 1:
+        return _min_cut_global(surface)
+    return _min_cut_branch_and_bound(surface, i)
 
 
 # ===================================================================

@@ -222,7 +222,12 @@ def rayleigh_upper_bound(surface: PantsSurface, cut: Multicut) -> float:
         if w == 0.0:
             w = max_half_width(e.length)
         conductances.append(collar_conductance(e.length, w))
-    total_conductance = math.fsum(conductances)
+    try:
+        total_conductance = math.fsum(conductances)
+    except OverflowError:  # each conductance is finite, their sum is not
+        raise ValueError(
+            f"the sum of the cut's {len(conductances)} crossing conductances overflows"
+        ) from None
     m1 = PANTS_MASS * len(side_a)
     m2 = PANTS_MASS * len(side_b)
     return total_conductance * (1.0 / m1 + 1.0 / m2)

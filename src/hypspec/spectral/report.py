@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..cuts import Multicut, min_separating_length, make_multicut
 from ..surfaces import (
     ChainFamilyParams,
     PantsSurface,
@@ -35,6 +35,9 @@ from ..surfaces import (
 from ..thickthin import DEFAULT_EPSILON, ThickThinDecomposition, decompose
 from .collar_ode import collar_dirichlet_lambda1_batch
 from .network import NetworkBuildError, build_network, network_lambda1, rayleigh_upper_bound
+
+if TYPE_CHECKING:  # the cut search is loaded only by the commands that cut
+    from ..cuts import Multicut
 
 _CSV_COLUMNS = (
     "genus",
@@ -150,6 +153,8 @@ def assemble_report(
     ``network_in_sanity_band`` reports (never enforces) whether the
     surrogate lies in [cheeger/2, rayleigh + tol].
     """
+    from ..cuts import min_separating_length
+
     ttd = decompose(surface, epsilon, force=force)
     cut = min_separating_length(surface, 1)
     l1 = cut.total_length
@@ -216,6 +221,8 @@ class ScalingRow:
 
 
 def _scaling_row(genus: int, core_length: float, epsilon: float, force: bool) -> ScalingRow:
+    from ..cuts import make_multicut, min_separating_length
+
     surface = build_chain_family(ChainFamilyParams(genus=genus, core_length=core_length))
     ttd = decompose(surface, epsilon, force=force)
     cut = min_separating_length(surface, 1)

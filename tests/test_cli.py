@@ -104,6 +104,19 @@ def test_cuts_json_and_bers_flag(capsys):
     assert doc["component_count"] == 2
     assert doc["bers_upper_bound"] == 78.0 * 9
     assert doc["bers_ok"] is True
+    assert sorted(doc) == [
+        "bers_ok", "bers_upper_bound", "component_count", "edge_labels", "i", "total_length",
+    ]
+
+
+def test_cuts_has_no_method_option(capsys):
+    # one search per cut problem: --method is an unrecognised argument
+    with pytest.raises(SystemExit) as exc:
+        main(["cuts", *CHAIN10, "--i", "3", "--method", "bnb"])
+    assert exc.value.code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --method bnb" in captured.err
 
 
 def test_spectrum_json(capsys):
@@ -223,7 +236,7 @@ def test_exit_code_cut_search_budget(capsys, monkeypatch):
     import hypspec.cuts
 
     monkeypatch.setattr(hypspec.cuts, "BNB_NODE_BUDGET", 5)
-    code, out, err = run(capsys, "cuts", *CHAIN10, "--i", "3", "--method", "bnb")
+    code, out, err = run(capsys, "cuts", *CHAIN10, "--i", "3")
     assert code == EXIT_INVALID_INPUT
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -292,6 +305,19 @@ def test_curves_longer_than_the_sinh_overflow_end_in_exit_codes(tmp_path, capsys
         "volume (collar/shell areas outside [1/2, 4]), "
         "smallness (eps >= 1/(2e^2) = 0.067667642)\n"
     )
+
+
+def test_exit_code_overflowing_conductance_sum(tmp_path, capsys):
+    # each crossing conductance is finite, near 1e308, but their sum is not
+    desc = json.loads((Path(__file__).parent / "golden/random-g3-s1-continuous.json").read_text())
+    for e in desc["edges"]:
+        e["length"] = 1407.5
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "bounds", "--input", str(path))
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: the sum of the cut's 3 crossing conductances overflows\n"
 
 
 def test_exit_code_inadmissible_epsilon(capsys):
@@ -464,6 +490,7 @@ CUTLESS_COMMANDS = [
     ("build", *CHAIN10),
     ("geometry", *CHAIN10),
     ("thickthin", *CHAIN10),
+    ("spectrum", *CHAIN10),
     ("verify", "--seed", "42"),
 ]
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import hypspec.cuts as cuts
 from hypspec.cuts import (
-    EXHAUSTIVE_EDGE_LIMIT,
     Multicut,
     bers_upper_bound,
     component_count_after_removal,
@@ -27,9 +26,17 @@ from hypspec.surfaces import (
     surface_to_dict,
 )
 
+from cut_oracle import min_cut_exhaustive
 from random_pants import continuous_length, random_pants_surface, tie_length
 
 LENGTH_DRAWS = {"continuous": continuous_length, "ties": tie_length}
+# every search of the cut problem: the library, its branch-and-bound run
+# directly (also at i = 1, where the library cuts globally), and the scan
+SEARCHES = {
+    "library": min_separating_length,
+    "bnb": cuts._min_cut_branch_and_bound,
+    "scan": min_cut_exhaustive,
+}
 
 
 def chain(genus, length=0.09, **kw):
@@ -57,11 +64,9 @@ def test_methods_agree_on_small_chains():
     for g in (2, 3, 4, 5, 6, 7):
         s = chain(g)
         for i in range(1, min(2 * g - 3, 4) + 1):
-            ex = min_separating_length(s, i, method="exhaustive")
-            bb = min_separating_length(s, i, method="bnb")
-            assert ex == bb
-            assert ex.component_count >= i + 1
-            assert bb.component_count >= i + 1
+            got = min_separating_length(s, i)
+            assert got == min_cut_exhaustive(s, i)
+            assert got.component_count >= i + 1
 
 
 def test_methods_agree_on_random_lengths():
@@ -74,31 +79,20 @@ def test_methods_agree_on_random_lengths():
         lengths = {e.label: rng.uniform(0.05, 1.5) for e in base.edges}
         s = perturbed_chain(g, lengths)
         i = rng.randint(1, min(2 * g - 3, 3))
-        ex = min_separating_length(s, i, method="exhaustive")
-        bb = min_separating_length(s, i, method="bnb")
-        assert bb == ex
+        assert min_separating_length(s, i) == min_cut_exhaustive(s, i)
 
 
-def test_auto_dispatch_matches_exhaustive_under_the_limit():
-    s = chain(7)  # 18 edges <= EXHAUSTIVE_EDGE_LIMIT
-    assert len(s.edges) <= EXHAUSTIVE_EDGE_LIMIT
-    auto = min_separating_length(s, 2)
-    ex = min_separating_length(s, 2, method="exhaustive")
-    assert auto == ex
-
-
-def test_large_genus_uses_branch_and_bound():
-    s = chain(12)  # 33 edges: exhaustive would be 2^33 subsets
+def test_large_genus_chain_i1_cut_is_the_first_join():
+    s = chain(12)  # 33 edges: a scan would visit 2^33 subsets
     cut = min_separating_length(s, 1)
     assert cut.edge_labels == ("j000",)
-    assert min_separating_length(s, 1, method="bnb").edge_labels == ("j000",)
+    assert cuts._min_cut_branch_and_bound(s, 1).edge_labels == ("j000",)
 
 
-def test_auto_at_i1_never_runs_the_subset_searches(monkeypatch):
+def test_i1_never_runs_branch_and_bound(monkeypatch):
     def refuse(surface, i):
-        raise AssertionError("auto at i = 1 must not run a subset search")
+        raise AssertionError("i = 1 must not run the subset search")
 
-    monkeypatch.setattr(cuts, "_min_cut_exhaustive", refuse)
     monkeypatch.setattr(cuts, "_min_cut_branch_and_bound", refuse)
     report = assemble_report(chain(7))
     assert report.cut_labels == ("j000",)
@@ -117,7 +111,7 @@ def test_branch_and_bound_budget_raises(monkeypatch):
         cuts, "heapq", SimpleNamespace(heappush=recording_push, heappop=heapq.heappop)
     )
     with pytest.raises(ValueError) as info:
-        min_separating_length(chain(10), 3, method="bnb")
+        min_separating_length(chain(10), 3)
     message = str(info.value)
     for part in ("budget of 5 nodes", "genus 10", "i=3", "27 edges"):
         assert part in message
@@ -175,12 +169,12 @@ def test_i_range_validation():
         min_separating_length(s, 0)
     with pytest.raises(ValueError):
         min_separating_length(s, 2 * 4 - 2)  # i > 2g-3
-    with pytest.raises(ValueError):
-        min_separating_length(s, 1, method="magic")
+    with pytest.raises(TypeError):  # one search per problem: nothing to choose
+        min_separating_length(s, 2, method="bnb")
 
 
 def test_exhaustive_total_is_a_true_minimum():
-    # brute-force cross-check independent of the library's own exhaustive path
+    # brute-force cross-check independent of the library's searches
     s = chain(4, 0.09)
     labels = [e.label for e in s.edges]
     best = math.inf
@@ -205,10 +199,9 @@ def test_property_methods_agree(genus, seed, i):
     base = chain(genus)
     lengths = {e.label: rng.uniform(0.05, 2.0) for e in base.edges}
     s = perturbed_chain(genus, lengths)
-    ex = min_separating_length(s, i, method="exhaustive")
-    bb = min_separating_length(s, i, method="bnb")
-    assert bb == ex
-    assert bb.component_count >= i + 1
+    got = min_separating_length(s, i)
+    assert got == min_cut_exhaustive(s, i)
+    assert got.component_count >= i + 1
 
 
 def _oracle_surfaces(genus, kind):
@@ -238,7 +231,7 @@ def test_oracle_fixtures_cover_bridges_and_bridgeless_blocks():
 @pytest.mark.parametrize("genus", range(2, 8))
 def test_global_min_cut_equals_exhaustive_oracle(genus, kind):
     for s in _oracle_surfaces(genus, kind):
-        assert min_separating_length(s, 1) == min_separating_length(s, 1, method="exhaustive")
+        assert min_separating_length(s, 1) == min_cut_exhaustive(s, 1)
 
 
 @pytest.mark.parametrize("kind", sorted(LENGTH_DRAWS))
@@ -246,7 +239,17 @@ def test_global_min_cut_equals_branch_and_bound(kind):
     for genus in range(8, 13):
         for k in range(2):
             s = random_pants_surface(random.Random(100 * genus + k), genus, LENGTH_DRAWS[kind])
-            assert min_separating_length(s, 1) == min_separating_length(s, 1, method="bnb")
+            assert min_separating_length(s, 1) == cuts._min_cut_branch_and_bound(s, 1)
+
+
+@pytest.mark.parametrize("genus", (3, 4, 5))
+def test_every_i_equals_the_scan_oracle(genus):
+    # i >= 2 runs branch-and-bound at every edge count; the scan is
+    # cheap here, at most 2^12 edge sets
+    surfaces = [chain(genus)] + [s for kind in LENGTH_DRAWS for s in _oracle_surfaces(genus, kind)]
+    for s in surfaces:
+        for i in range(2, 2 * genus - 2):
+            assert min_separating_length(s, i) == min_cut_exhaustive(s, i), i
 
 
 # short tied lengths, as on a surface whose thin curves share a few values;
@@ -311,7 +314,7 @@ def test_contracted_min_cut_equals_exhaustive_on_tied_lengths(monkeypatch, lengt
         seen.clear()
         got = min_separating_length(s, 1)
         assert got == _exact_min_cut(s)
-        assert cuts._min_cut_exhaustive(s, 1) == got
+        assert min_cut_exhaustive(s, 1) == got
         # a bridgeless surface is one block holding every pants
         contracted += not _has_bridge(s) and any(v < len(s.vertices) for v in seen)
     if lengths == MIXED_TIES:
@@ -338,7 +341,7 @@ def test_a_thick_curve_above_the_cheapest_star_is_contracted(monkeypatch):
     seen = _recording_stoer_wagner(monkeypatch)
     cut = min_separating_length(s, 1)
     assert seen == [3]
-    assert cut == cuts._min_cut_exhaustive(s, 1)
+    assert cut == min_cut_exhaustive(s, 1)
     # the stars of p002 and p003 tie in length; p002's labels come first
     assert cut.edge_labels == ("c001", "c003", "c005")
 
@@ -353,8 +356,8 @@ def test_every_method_picks_the_exact_side_of_a_float_tie():
     tie = make_multicut(s, ["c000", "c002", "c013"])
     assert tie.total_length == 0.09 and tie.component_count == 2
     assert _exact_min_cut(s) == make_multicut(s, ["c003"])
-    for method in ("auto", "exhaustive", "bnb"):
-        assert min_separating_length(s, 1, method=method).edge_labels == ("c003",)
+    for search in SEARCHES.values():
+        assert search(s, 1).edge_labels == ("c003",)
 
 
 @pytest.mark.parametrize("lengths", [SHORT_TIES, MIXED_TIES], ids=["short", "mixed"])
@@ -362,5 +365,5 @@ def test_every_method_returns_the_exact_optimum_on_tied_lengths(lengths):
     for s in _contraction_fixtures(lengths):
         for i in range(1, min(3, 2 * s.genus - 3) + 1):
             want = _exact_min_cut(s, i)
-            for method in ("auto", "exhaustive", "bnb"):
-                assert min_separating_length(s, i, method=method) == want, (method, i)
+            for name, search in SEARCHES.items():
+                assert search(s, i) == want, (name, i)
