@@ -48,8 +48,8 @@ def _lazy_exports(package: str, exports: dict) -> tuple:
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "collars": (
-        "Collar", "collar_volume", "gudermannian", "max_half_width",
-        "modified_half_width", "shell_detour_lengths", "shell_volume",
+        "collar_volume", "gudermannian", "max_half_width", "modified_half_width",
+        "shell_detour_lengths", "shell_volume",
     ),
     "cuts": (
         "Multicut", "bers_upper_bound", "component_count_after_removal",

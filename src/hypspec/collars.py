@@ -32,7 +32,6 @@ using only its closed forms, loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -78,33 +77,6 @@ def shell_volume(length: float, half_width: float) -> float:
 def gudermannian(w: float) -> float:
     """gd(w) = 2 arctan(tanh(w/2)) = integral of sech over [0, w]."""
     return 2.0 * math.atan(math.tanh(0.5 * w))
-
-
-@dataclass(frozen=True)
-class Collar:
-    """A collar of half-width ``half_width`` around a core of length ``core_length``."""
-
-    core_length: float
-    half_width: float
-    has_shell: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.core_length) and self.core_length > 0.0):
-            raise ValueError(f"core_length must be positive, got {self.core_length}")
-        if self.half_width < 0.0:
-            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
-        limit = max_half_width(self.core_length)
-        if self.half_width > limit * (1.0 + 1e-12) + 1e-15:
-            raise ValueError(
-                f"half_width {self.half_width} exceeds the embedding bound "
-                f"{limit} for core length {self.core_length}"
-            )
-
-    def volume(self) -> float:
-        return collar_volume(self.core_length, self.half_width)
-
-    def shell_volume(self) -> float:
-        return shell_volume(self.core_length, self.half_width)
 
 
 # -------------------------------------------------------------------

@@ -57,12 +57,18 @@ def component_count_after_removal(surface: PantsSurface, labels) -> int:
 
 
 def make_multicut(surface: PantsSurface, labels) -> Multicut:
-    """Multicut record for an explicit edge set (length and components computed)."""
+    """Multicut record for an explicit edge set (length and components computed).
+
+    An unknown label raises KeyError and a repeated one ValueError.
+    """
     labels = tuple(sorted(labels))
     known = {e.label for e in surface.edges}
     unknown = [l for l in labels if l not in known]
     if unknown:
         raise KeyError(f"unknown edge labels: {unknown}")
+    repeated = sorted({a for a, b in zip(labels, labels[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"repeated edge labels: {repeated}")
     return Multicut(
         edge_labels=labels,
         total_length=_canonical_length(surface, labels),

@@ -137,7 +137,7 @@ def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
     thin collar survives, since no two-sided surrogate exists then.
     """
     surface = decomposition.surface
-    wide = [tc for tc in decomposition.thin_collars if tc.collar.half_width != 0.0]
+    wide = [tc for tc in decomposition.thin_collars if tc.half_width != 0.0]
     cut = {tc.label for tc in wide}
     nodes = surface._graph.parts(
         k for k, e in enumerate(surface.edges) if e.label not in cut
@@ -153,7 +153,7 @@ def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
     for tc in wide:
         a = node_of[tc.endpoints[0]]
         b = node_of[tc.endpoints[1]]
-        shape = (tc.collar.core_length, tc.collar.half_width)
+        shape = (tc.core_length, tc.half_width)
         c = conductance.get(shape)
         if c is None:
             c = conductance[shape] = collar_conductance(*shape)

@@ -77,16 +77,16 @@ def collar_modes(ttd: ThickThinDecomposition) -> tuple[CollarMode, ...]:
     :mod:`.collar_ode`), so each distinct width is solved once, and all
     of them in one batched call.
     """
-    collars = [tc for tc in ttd.thin_collars if tc.collar.half_width != 0.0]
-    widths = list(dict.fromkeys(tc.collar.half_width for tc in collars))
+    collars = [tc for tc in ttd.thin_collars if tc.half_width != 0.0]
+    widths = list(dict.fromkeys(tc.half_width for tc in collars))
     values, _ = collar_dirichlet_lambda1_batch(widths)
     by_width = dict(zip(widths, values.tolist()))
     return tuple(
         CollarMode(
             label=tc.label,
-            core_length=tc.collar.core_length,
-            half_width=tc.collar.half_width,
-            lambda1=by_width[tc.collar.half_width],
+            core_length=tc.core_length,
+            half_width=tc.half_width,
+            lambda1=by_width[tc.half_width],
         )
         for tc in collars
     )

@@ -6,19 +6,21 @@ multigraph (one vertex per pants, one edge per curve, self-loops and
 parallel edges allowed) together with the Fenchel-Nielsen length and
 twist of every curve.  Everything downstream -- thick-thin splitting,
 separating multicurves, spectral surrogates -- consumes this data.
+A :class:`PantsSurface` is valid by construction: it checks itself on
+its own integer dual graph, which it keeps for every later partition.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TWO_ARCSINH_ONE = 2.0 * math.asinh(1.0)
 
 
 class InvalidSurfaceError(ValueError):
-    """Raised when a surface description violates a structural invariant."""
+    """Raised when a surface or its description violates a structural invariant."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
@@ -40,12 +42,14 @@ class Edge:
 class PantsSurface:
     """Immutable dual multigraph of a pants decomposition.
 
-    ``vertices`` are pants ids, ``edges`` are pants curves in strictly
-    increasing label order (else ValueError), so edge k has label rank k.
-    A valid surface of genus g has 2(g-1) trivalent vertices (self-loops
-    count twice), 3(g-1) edges, positive finite lengths, and a connected
-    dual graph.  :func:`build_from_description` and the family builders
-    sort the edges by label and validate the surface.
+    ``vertices`` are distinct pants ids, ``edges`` are pants curves in
+    strictly increasing label order, so edge k has label rank k.  A
+    surface of genus g >= 2 has 2(g-1) trivalent vertices (self-loops
+    count twice), 3(g-1) edges between known vertices, positive finite
+    lengths, finite twists, and a connected dual graph; construction
+    raises :class:`InvalidSurfaceError` listing every violation.
+    :func:`build_from_description` and the family builders sort the
+    edges by label.
     """
 
     genus: int
@@ -53,9 +57,9 @@ class PantsSurface:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        labels = [e.label for e in self.edges]
-        if any(a >= b for a, b in zip(labels, labels[1:])):
-            raise ValueError("surface edges must be in strictly increasing label order")
+        problems = _structural_violations(self)
+        if problems:
+            raise InvalidSurfaceError(problems)
 
     def edge_by_label(self, label: str) -> Edge:
         for e in self.edges:
@@ -123,14 +127,6 @@ def _union_find(n: int, pairs) -> list[int]:
     return parent
 
 
-def _groups(names, roots) -> list[frozenset]:
-    """Names grouped by root, ordered by each group's smallest name."""
-    groups: dict[int, list] = {}
-    for name, root in zip(names, roots):
-        groups.setdefault(root, []).append(name)
-    return sorted(map(frozenset, groups.values()), key=min)
-
-
 class _DualGraph:
     """Integer view of a surface's dual graph.
 
@@ -151,31 +147,29 @@ class _DualGraph:
         return _union_find(len(self.vertices), [ends[k] for k in kept])
 
     def parts(self, kept) -> list[frozenset[str]]:
-        """Pants sets of the components joined by the edges numbered in ``kept``."""
-        return _groups(self.vertices, self.roots(kept))
+        """Pants sets of the components joined by the edges numbered in ``kept``.
 
-
-def connected_components(vertices, edge_pairs) -> list[frozenset[str]]:
-    """Connected components of a multigraph given as (a, b) endpoint pairs.
-
-    Every vertex is its own component unless an edge joins it to
-    another; self-loops do not merge anything.  Output order follows
-    the sorted order of each component's smallest vertex.
-    """
-    index = {v: k for k, v in enumerate(dict.fromkeys(vertices))}
-    roots = _union_find(len(index), [(index[a], index[b]) for a, b in edge_pairs])
-    return _groups(index, roots)
+        The sets are ordered by their smallest pants id.
+        """
+        groups: dict[int, list] = {}
+        for name, root in zip(self.vertices, self.roots(kept)):
+            groups.setdefault(root, []).append(name)
+        return sorted(map(frozenset, groups.values()), key=min)
 
 
 # ===================================================================
 # builders and validation
 # ===================================================================
 
-def _structural_violations(genus, vertices, edges) -> list[str]:
-    problems: list[str] = []
+def _structural_violations(surface: PantsSurface) -> list[str]:
+    """Every way ``surface`` fails to be a closed genus-g pants decomposition.
+
+    Degrees and connectivity are read, once all else holds, off the kept graph.
+    """
+    genus, vertices, edges = surface.genus, surface.vertices, surface.edges
     if genus < 2:
-        problems.append(f"genus must be >= 2, got {genus}")
-        return problems
+        return [f"genus must be >= 2, got {genus}"]
+    problems: list[str] = []
     if len(set(vertices)) != len(vertices):
         dupes = sorted({v for v in vertices if vertices.count(v) > 1})
         problems.append(f"duplicate vertex ids: {dupes}")
@@ -184,6 +178,8 @@ def _structural_violations(genus, vertices, edges) -> list[str]:
     if len(set(labels)) != len(labels):
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         problems.append(f"duplicate edge labels: {dupes}")
+    elif any(a > b for a, b in zip(labels, labels[1:])):
+        problems.append("surface edges must be in strictly increasing label order")
     for e in edges:
         for end in (e.a, e.b):
             if end not in vset:
@@ -201,27 +197,32 @@ def _structural_violations(genus, vertices, edges) -> list[str]:
             f"genus {genus} needs {3 * (genus - 1)} curves, got {len(edges)}"
         )
     if not problems:
-        deg = {v: 0 for v in vertices}
-        for e in edges:
-            deg[e.a] += 1
-            deg[e.b] += 1
-        bad = {v: d for v, d in deg.items() if d != 3}
-        for v, d in sorted(bad.items()):
-            problems.append(f"pants {v!r} has degree {d}, expected 3")
-        comps = connected_components(vertices, [(e.a, e.b) for e in edges])
-        if len(comps) != 1:
-            problems.append(f"dual graph is disconnected ({len(comps)} components)")
+        graph = surface._graph
+        degree = [0] * len(vertices)
+        for a, b in graph.ends:
+            degree[a] += 1
+            degree[b] += 1
+        for v, d in sorted(zip(vertices, degree)):
+            if d != 3:
+                problems.append(f"pants {v!r} has degree {d}, expected 3")
+        count = len(set(graph.roots(range(len(edges)))))
+        if count != 1:
+            problems.append(f"dual graph is disconnected ({count} components)")
     return problems
 
 
-def _read_description(desc: dict) -> tuple[list[str], int, list[str], list[Edge]]:
-    """Violations of a description, with the genus, vertices and edges read from it.
+def build_from_description(desc: dict) -> PantsSurface:
+    """Validated surface from a ``{"genus", "vertices", "edges"}`` mapping.
 
-    Each edge is built once, for the checks and for the surface alike.
-    A field of the wrong type is listed as a violation, never raised.
+    Raises :class:`InvalidSurfaceError` listing every violation (with
+    the offending element) when the description is not a closed
+    genus-g pants decomposition.  A field of the wrong type is listed,
+    never raised; if every field parses, the violations are those of
+    the :class:`PantsSurface` built from them, with the edges sorted
+    by label.  Each edge is built once.
     """
     if not isinstance(desc, dict):
-        return ["surface description is not an object"], 0, [], []
+        raise InvalidSurfaceError(["surface description is not an object"])
     problems: list[str] = []
     for key in ("genus", "vertices", "edges"):
         if key not in desc:
@@ -229,12 +230,15 @@ def _read_description(desc: dict) -> tuple[list[str], int, list[str], list[Edge]
         elif key != "genus" and not isinstance(desc[key], (list, tuple)):
             problems.append(f"{key} is not a list")
     if problems:
-        return problems, 0, [], []
+        raise InvalidSurfaceError(problems)
+    genus = desc["genus"]
     try:
-        genus = int(desc["genus"])
+        # int() would truncate a fractional genus and read a bool as 0 or 1
+        if isinstance(genus, bool) or (isinstance(genus, float) and not genus.is_integer()):
+            raise ValueError(genus)
+        genus = int(genus)
     except (TypeError, ValueError):
-        return [f"genus is not an integer: {desc['genus']!r}"], 0, [], []
-    vertices = [str(v) for v in desc["vertices"]]
+        raise InvalidSurfaceError([f"genus is not an integer: {desc['genus']!r}"]) from None
     edges = []
     for i, raw in enumerate(desc["edges"]):
         if not isinstance(raw, dict):
@@ -261,29 +265,22 @@ def _read_description(desc: dict) -> tuple[list[str], int, list[str], list[Edge]
                 label=str(raw["label"]),
             )
         )
-    return problems or _structural_violations(genus, vertices, edges), genus, vertices, edges
-
-
-def validate_description(desc: dict) -> list[str]:
-    """Structural violations of a JSON-style surface description (empty = valid)."""
-    return _read_description(desc)[0]
-
-
-def build_from_description(desc: dict) -> PantsSurface:
-    """Validated surface from a ``{"genus", "vertices", "edges"}`` mapping.
-
-    Raises :class:`InvalidSurfaceError` listing every violation (with
-    the offending element) when the description is not a closed
-    genus-g pants decomposition.
-    """
-    problems, genus, vertices, edges = _read_description(desc)
     if problems:
         raise InvalidSurfaceError(problems)
     return PantsSurface(
         genus=genus,
-        vertices=tuple(vertices),
+        vertices=tuple(str(v) for v in desc["vertices"]),
         edges=tuple(sorted(edges, key=lambda e: e.label)),
     )
+
+
+def validate_description(desc: dict) -> list[str]:
+    """The violations :func:`build_from_description` raises for ``desc`` (empty = valid)."""
+    try:
+        build_from_description(desc)
+    except InvalidSurfaceError as exc:
+        return exc.violations
+    return []
 
 
 def build_chain_family(params: ChainFamilyParams) -> PantsSurface:
@@ -317,11 +314,7 @@ def build_chain_family(params: ChainFamilyParams) -> PantsSurface:
         edges.append(Edge(a=a, b=b, length=ell, twist=tw, label=f"r{blk:03d}a"))
         edges.append(Edge(a=a, b=b, length=ell, twist=tw, label=f"r{blk:03d}b"))
     edges.sort(key=lambda e: e.label)
-    surface = PantsSurface(genus=g, vertices=tuple(verts), edges=tuple(edges))
-    problems = _structural_violations(g, list(surface.vertices), list(surface.edges))
-    if problems:  # pragma: no cover - construction is exact by design
-        raise InvalidSurfaceError(problems)
-    return surface
+    return PantsSurface(genus=g, vertices=tuple(verts), edges=tuple(edges))
 
 
 def chain_join_label(genus: int, k: int) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .collars import Collar, collar_volume, max_half_width, modified_half_width, shell_volume
+from .collars import collar_volume, max_half_width, modified_half_width, shell_volume
 from .surfaces import PantsSurface
 
 EPSILON_SMALLNESS_BOUND = 1.0 / (2.0 * math.e**2)
@@ -48,7 +48,6 @@ class EpsilonChecklist:
     volume_t_range: tuple[float, float]
     volume_s_range: tuple[float, float]
     smallness_ok: bool
-    smallness_bound: float = EPSILON_SMALLNESS_BOUND
 
     @property
     def passed(self) -> bool:
@@ -61,7 +60,7 @@ class EpsilonChecklist:
         if not self.volume_ok:
             out.append("volume (collar/shell areas outside [1/2, 4])")
         if not self.smallness_ok:
-            out.append(f"smallness (eps >= 1/(2e^2) = {self.smallness_bound:.9f})")
+            out.append(f"smallness (eps >= 1/(2e^2) = {EPSILON_SMALLNESS_BOUND:.9f})")
         return out
 
 
@@ -116,11 +115,12 @@ def epsilon_admissible(epsilon: float) -> EpsilonChecklist:
 
 @dataclass(frozen=True)
 class ThinCollar:
-    """A thin curve with its modified collar (shell included)."""
+    """A thin curve with its modified collar; the unit shell lies outside ``half_width``."""
 
     label: str
     endpoints: tuple[str, str]
-    collar: Collar
+    core_length: float
+    half_width: float
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,10 @@ class ThickThinDecomposition:
                 {
                     "label": tc.label,
                     "endpoints": list(tc.endpoints),
-                    "core_length": tc.collar.core_length,
-                    "half_width": tc.collar.half_width,
-                    "collar_volume": tc.collar.volume(),
-                    "shell_volume": tc.collar.shell_volume(),
+                    "core_length": tc.core_length,
+                    "half_width": tc.half_width,
+                    "collar_volume": collar_volume(tc.core_length, tc.half_width),
+                    "shell_volume": shell_volume(tc.core_length, tc.half_width),
                 }
                 for tc in self.thin_collars
             ],
@@ -170,8 +170,8 @@ def decompose(
     """Split ``surface`` at scale ``epsilon``.
 
     Thin curves are those with length strictly below 2*epsilon; each
-    gets a modified collar (with shell), one frozen :class:`Collar`
-    shared by every thin curve of the same length.  Thick components
+    gets a modified collar (with shell) of half-width max(0, w(l) - 2),
+    computed once per distinct length.  Thick components
     are the connected components of the dual graph after removing thin
     edges.  An inadmissible epsilon raises unless ``force=True``, in
     which case the decomposition is built anyway and flagged.
@@ -180,19 +180,17 @@ def decompose(
     if not checklist.passed and not force:
         raise InadmissibleEpsilonError(checklist)
     two_eps = 2.0 * epsilon
-    collars: dict[float, Collar] = {}
+    widths: dict[float, float] = {}
     thin = []
     thick = []
     for k, e in enumerate(surface.edges):
         if e.length < two_eps:
-            collar = collars.get(e.length)
-            if collar is None:
-                collar = collars[e.length] = Collar(
-                    core_length=e.length,
-                    half_width=modified_half_width(e.length),
-                    has_shell=True,
-                )
-            thin.append(ThinCollar(label=e.label, endpoints=(e.a, e.b), collar=collar))
+            w = widths.get(e.length)
+            if w is None:
+                w = widths[e.length] = modified_half_width(e.length)
+            thin.append(
+                ThinCollar(label=e.label, endpoints=(e.a, e.b), core_length=e.length, half_width=w)
+            )
         else:
             thick.append(k)
     return ThickThinDecomposition(

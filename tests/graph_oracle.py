@@ -50,7 +50,7 @@ def build_network(decomposition):
         [
             (comp_of[tc.endpoints[0]], comp_of[tc.endpoints[1]])
             for tc in decomposition.thin_collars
-            if tc.collar.half_width == 0.0
+            if tc.half_width == 0.0
         ],
     )
     node_of_comp = {ci: i for i, node in enumerate(nodes) for ci in node}
@@ -60,7 +60,7 @@ def build_network(decomposition):
     node_pants = tuple(tuple(sorted(m)) for m in members)
     edges = []
     for tc in decomposition.thin_collars:
-        if tc.collar.half_width == 0.0:
+        if tc.half_width == 0.0:
             continue
         a = node_of_comp[comp_of[tc.endpoints[0]]]
         b = node_of_comp[comp_of[tc.endpoints[1]]]
@@ -69,7 +69,7 @@ def build_network(decomposition):
                 label=tc.label,
                 a=min(a, b),
                 b=max(a, b),
-                conductance=collar_conductance(tc.collar.core_length, tc.collar.half_width),
+                conductance=collar_conductance(tc.core_length, tc.half_width),
             )
         )
     if len(node_pants) < 2 or not edges:

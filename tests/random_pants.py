@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 
-from hypspec.surfaces import PantsSurface, build_from_description, connected_components
+from hypspec.surfaces import PantsSurface, build_from_description
+
+from graph_oracle import connected_components
 
 TIE_LENGTHS = (0.25, 0.5, 0.75)
 

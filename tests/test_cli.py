@@ -253,6 +253,29 @@ def test_exit_code_unknown_rayleigh_cut_label(capsys):
     assert err == "error: unknown edge labels: ['nope']\n"
 
 
+def test_exit_code_repeated_rayleigh_cut_label(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--family", "chain", "--genus", "4", "--length", "0.09",
+        "--cut", "j001,j001",
+    )
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: repeated edge labels: ['j001']\n"
+
+
+@pytest.mark.parametrize("twist", ["nan", "inf"])
+def test_exit_code_non_finite_twist(capsys, twist):
+    code, out, err = run(
+        capsys, "build", "--family", "chain", "--genus", "3", "--length", "0.09",
+        "--twist", twist,
+    )
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    labels = ["j000", "j001", "r001a", "r001b", "s000", "s001"]
+    want = "; ".join(f"edge {l!r} has non-finite twist {twist}" for l in labels)
+    assert err == f"error: {want}\n"
+
+
 def test_curves_longer_than_the_sinh_overflow_end_in_exit_codes(tmp_path, capsys):
     # sinh(l/2) overflows past l ~ 1420.9; every command still ends in a
     # documented exit code, never an OverflowError
@@ -351,7 +374,7 @@ def test_version_flag(capsys):
 
 
 PUBLIC_API = [
-    "ChainFamilyParams", "Collar", "DEFAULT_EPSILON", "Edge", "EpsilonChecklist",
+    "ChainFamilyParams", "DEFAULT_EPSILON", "Edge", "EpsilonChecklist",
     "InadmissibleEpsilonError", "InvalidSurfaceError", "Multicut", "NetworkModel",
     "PantsSurface", "SpectralReport", "ThickThinDecomposition", "ThinCollar",
     "assemble_report", "bers_upper_bound", "build_chain_family", "build_from_description",

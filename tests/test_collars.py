@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hypspec.collars import (
-    Collar,
     collar_distances,
     collar_volume,
     gudermannian,
@@ -208,19 +207,6 @@ def test_collar_distances_match_mpmath_to_1e_14():
     # equal points, also one turn apart, are at distance exactly 0
     rho, t = [0.4, -0.3, 0.4], [0.1, 0.7, 0.0]
     assert collar_distances(rho, t, rho, [0.1, 0.7, 1.0], 0.05).tolist() == [0.0] * 3
-
-
-def test_collar_rejects_width_beyond_embedding_bound():
-    with pytest.raises(ValueError):
-        Collar(core_length=0.5, half_width=max_half_width(0.5) + 0.1)
-    # exactly at the bound is fine
-    Collar(core_length=0.5, half_width=max_half_width(0.5))
-    # zero width is allowed (degenerate annulus used by the contraction rules)
-    Collar(core_length=0.5, half_width=0.0)
-    with pytest.raises(ValueError):
-        Collar(core_length=-0.1, half_width=0.5)
-    with pytest.raises(ValueError):
-        Collar(core_length=0.5, half_width=-0.01)
 
 
 @given(

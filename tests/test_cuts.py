@@ -149,6 +149,9 @@ def test_make_multicut_validates_labels():
     assert cut.total_length == pytest.approx(0.09, rel=1e-15)
     with pytest.raises(KeyError):
         make_multicut(s, ["nope"])
+    # a repeated label would count its length twice
+    with pytest.raises(ValueError, match=r"^repeated edge labels: \['j001'\]$"):
+        make_multicut(s, ["j001", "j000", "j001"])
     # the empty cut is a legal (non-separating) record
     empty = make_multicut(s, [])
     assert empty.total_length == 0.0

@@ -298,7 +298,7 @@ def test_network_nodes_equal_the_two_stage_oracle_on_zero_width_collars():
 def test_forced_reports_build_the_oracle_network():
     s = relabeled_chain(6, 0.3, {"j": 0.57, "s": 0.9})
     d = decompose(s, epsilon=0.3, force=True)
-    assert any(tc.collar.half_width == 0.0 for tc in d.thin_collars)
+    assert any(tc.half_width == 0.0 for tc in d.thin_collars)
     assert build_network(d) == graph_oracle.build_network(d)
 
 

@@ -9,12 +9,12 @@ from hypspec.surfaces import (
     ChainFamilyParams,
     InvalidSurfaceError,
     PantsSurface,
+    _DualGraph,
     _union_find,
     build_chain_family,
     build_from_description,
     chain_central_join_label,
     chain_join_label,
-    connected_components,
     dump_surface,
     load_surface,
     surface_to_dict,
@@ -69,9 +69,7 @@ def test_central_join_balances_even_genus():
     label = chain_central_join_label(g)
     e = s.edge_by_label(label)
     # removing the central join splits the pants evenly for even genus
-    halves = connected_components(
-        s.vertices, [(x.a, x.b) for x in s.edges if x.label != label]
-    )
+    halves = s._graph.parts(k for k, x in enumerate(s.edges) if x.label != label)
     assert sorted(len(c) for c in halves) == [g - 1, g - 1]
 
 
@@ -134,6 +132,9 @@ def _broken_descriptions():
         "missing field 'edges'",
     ]
     yield {**good, "genus": "three"}, ["genus is not an integer: 'three'"]
+    # int() would read these as genus 2 and genus 1
+    yield {**good, "genus": 2.9}, ["genus is not an integer: 2.9"]
+    yield {**good, "genus": True}, ["genus is not an integer: True"]
     broken = json.loads(json.dumps(good))
     del broken["edges"][1]["length"], broken["edges"][3]["a"]
     yield broken, ["edge #1 missing fields ['length']", "edge #3 missing fields ['a']"]
@@ -230,10 +231,15 @@ def test_disconnected_description_is_rejected():
     assert any("connected" in v for v in violations)
 
 
+def _parts(names, pairs):
+    """Components of the named multigraph, through the integer dual graph."""
+    index = {v: k for k, v in enumerate(names)}
+    graph = _DualGraph(tuple(names), tuple((index[a], index[b]) for a, b in pairs))
+    return graph.parts(range(len(pairs)))
+
+
 def test_connected_components_unions_multigraph():
-    comps = connected_components(
-        ["a", "b", "c", "d"], [("a", "b"), ("a", "b"), ("c", "c")]
-    )
+    comps = _parts(["a", "b", "c", "d"], [("a", "b"), ("a", "b"), ("c", "c")])
     assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c"], ["d"]]
 
 
@@ -244,7 +250,7 @@ def test_connected_components_unions_multigraph():
 def test_every_chain_passes_its_own_validation(genus, length):
     s = build_chain_family(ChainFamilyParams(genus=genus, core_length=length))
     assert validate_description(surface_to_dict(s)) == []
-    assert len(connected_components(s.vertices, [(e.a, e.b) for e in s.edges])) == 1
+    assert len(s._graph.parts(range(len(s.edges)))) == 1
 
 
 @st.composite
@@ -262,7 +268,7 @@ def multigraphs(draw):
 def test_union_find_matches_the_dictionary_oracle(graph):
     names, pairs = graph
     want = graph_oracle.connected_components(names, pairs)
-    assert connected_components(names, pairs) == want
+    assert _parts(names, pairs) == want
     index = {v: k for k, v in enumerate(names)}
     roots = _union_find(len(names), [(index[a], index[b]) for a, b in pairs])
     assert len(set(roots)) == len(want)
@@ -287,9 +293,14 @@ def test_edges_out_of_label_order_or_repeated_are_refused():
     assert [e.label for e in edges] == sorted(e.label for e in edges)
     swapped = (edges[1], edges[0], *edges[2:])
     repeated = (edges[0], edges[0], *edges[2:])
-    for bad in (swapped, repeated, tuple(reversed(edges))):
-        with pytest.raises(ValueError, match="strictly increasing label order"):
+    for bad, message in (
+        (swapped, "surface edges must be in strictly increasing label order"),
+        (tuple(reversed(edges)), "surface edges must be in strictly increasing label order"),
+        (repeated, f"duplicate edge labels: [{edges[0].label!r}]"),
+    ):
+        with pytest.raises(InvalidSurfaceError) as err:
             PantsSurface(genus=3, vertices=chain(3).vertices, edges=bad)
+        assert err.value.violations == [message]
 
 
 def test_a_shuffled_description_builds_the_sorted_surface():

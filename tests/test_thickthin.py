@@ -169,9 +169,8 @@ def test_chain_decomposition_all_curves_thin():
     # cutting every curve isolates each pair of pants
     assert len(d.thick_components) == len(s.vertices)
     for tc in d.thin_collars:
-        assert tc.collar.core_length == 0.09
-        assert tc.collar.half_width == pytest.approx(1.7944086998410058, rel=1e-12)
-        assert tc.collar.has_shell
+        assert tc.core_length == 0.09
+        assert tc.half_width == pytest.approx(1.7944086998410058, rel=1e-12)
 
 
 def test_thin_threshold_is_strict():
