@@ -142,7 +142,7 @@ def cmd_cuts(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .spectral.network import NetworkBuildError, build_network, network_lambda1
-    from .spectral.report import collar_modes
+    from .spectral.report import collar_lambda1
 
     surface = _surface_from_args(args)
     ttd = decompose(surface, args.epsilon, force=args.force_epsilon)
@@ -165,7 +165,7 @@ def cmd_spectrum(args) -> int:
                 "network": model_dict,
                 "network_lambda1": lam,
                 "network_note": note,
-                "collar_ode_lambda1": {m.label: m.lambda1 for m in collar_modes(ttd)},
+                "collar_ode_lambda1": collar_lambda1(ttd),
             }
         ),
     )

@@ -18,7 +18,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "build_network", "collar_conductance", "network_lambda1", "rayleigh_upper_bound",
     ),
     "report": (
-        "CollarMode", "ScalingRow", "SpectralReport", "assemble_report",
+        "ScalingRow", "SpectralReport", "assemble_report",
         "cheeger_lower_bound", "scaling_rows_to_csv", "scaling_study",
     ),
 })

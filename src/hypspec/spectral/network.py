@@ -83,6 +83,20 @@ class NetworkModel:
     masses: tuple[float, ...]
     edges: tuple[NetworkEdge, ...]
 
+    def __post_init__(self):
+        n = len(self.masses)
+        for i, m in enumerate(self.masses):
+            if not (math.isfinite(m) and m > 0.0):
+                raise ValueError(f"mass of node {i} must be positive and finite, got {m}")
+        for e in self.edges:
+            if not (math.isfinite(e.conductance) and e.conductance > 0.0):
+                raise ValueError(
+                    f"conductance of edge {e.label!r} must be positive and finite, "
+                    f"got {e.conductance}"
+                )
+            if not (0 <= e.a < n and 0 <= e.b < n):
+                raise ValueError(f"edge {e.label!r} joins nodes {e.a}, {e.b} outside 0..{n - 1}")
+
     @property
     def n_nodes(self) -> int:
         return len(self.masses)
@@ -137,7 +151,7 @@ def build_network(decomposition: ThickThinDecomposition) -> NetworkModel:
     thin collar survives, since no two-sided surrogate exists then.
     """
     surface = decomposition.surface
-    wide = [tc for tc in decomposition.thin_collars if tc.half_width != 0.0]
+    wide = decomposition.wide_collars
     cut = {tc.label for tc in wide}
     nodes = surface._graph.parts(
         k for k, e in enumerate(surface.edges) if e.label not in cut

@@ -4,12 +4,13 @@ One report gathers, for a single surface: the shortest separating
 system restricted to pants curves (L1), the Cheeger-type lower bound
 min(1/4, L1^2 / (4 vol^2)), the network surrogate's spectral gap, a
 Rayleigh-quotient upper bound from an explicit cut, and a Ritz upper
-bound on the first Dirichlet eigenvalue of each thin collar (see
-:mod:`.collar_ode`).  Only the Cheeger value bounds the surface gap;
-the Rayleigh value is an upper bound for the network surrogate and a
-model estimate for the surface (on the chain family it sits up to
-1.1 % below the Rayleigh quotient of its own test function on the
-surface).
+bound on the first Dirichlet eigenvalue of each thin collar of positive
+width (see :mod:`.collar_ode`); zero-width collars have no interior, so
+the collar map skips them and the network contracts them.  Only the
+Cheeger value bounds the surface gap; the Rayleigh value is an upper
+bound for the network surrogate and a model estimate for the surface
+(on the chain family it sits up to 1.1 % below the Rayleigh quotient of
+its own test function on the surface).
 Consistency flags record whether the Cheeger value lies below the
 Rayleigh value and whether the surrogate lands between them; the
 surrogate band is reported, never enforced.
@@ -59,37 +60,19 @@ def cheeger_lower_bound(l1: float, vol: float) -> float:
     return min(0.25, l1 * l1 / (4.0 * vol * vol))
 
 
-@dataclass(frozen=True)
-class CollarMode:
-    """First Dirichlet eigenvalue of one thin collar."""
+def collar_lambda1(ttd: ThickThinDecomposition) -> dict[str, float]:
+    """Label -> Ritz upper bound on the first Dirichlet eigenvalue, in collar order.
 
-    label: str
-    core_length: float
-    half_width: float
-    lambda1: float
-
-
-def collar_modes(ttd: ThickThinDecomposition) -> tuple[CollarMode, ...]:
-    """First Dirichlet eigenvalue of each thin collar, in collar order.
-
-    Zero-width collars have no interior and are skipped.  The collar
-    eigenvalue is a function of the half-width alone (see
-    :mod:`.collar_ode`), so each distinct width is solved once, and all
-    of them in one batched call.
+    Only :attr:`ThickThinDecomposition.wide_collars` are solved:
+    zero-width collars have no interior and are skipped.  The eigenvalue
+    is a function of the half-width alone (see :mod:`.collar_ode`), so
+    each distinct width is solved once, all of them in one batched call.
     """
-    collars = [tc for tc in ttd.thin_collars if tc.half_width != 0.0]
+    collars = ttd.wide_collars
     widths = list(dict.fromkeys(tc.half_width for tc in collars))
     values, _ = collar_dirichlet_lambda1_batch(widths)
     by_width = dict(zip(widths, values.tolist()))
-    return tuple(
-        CollarMode(
-            label=tc.label,
-            core_length=tc.core_length,
-            half_width=tc.half_width,
-            lambda1=by_width[tc.half_width],
-        )
-        for tc in collars
-    )
+    return {tc.label: by_width[tc.half_width] for tc in collars}
 
 
 @dataclass(frozen=True)
@@ -106,7 +89,7 @@ class SpectralReport:
     network_lambda1: float | None
     network_note: str
     rayleigh_upper: float
-    collar_modes: tuple[CollarMode, ...]
+    collar_lambda1: dict[str, float]
     consistency_flags: dict
 
     def to_dict(self) -> dict:
@@ -121,7 +104,7 @@ class SpectralReport:
             "network_lambda1": self.network_lambda1,
             "network_note": self.network_note,
             "rayleigh_upper": self.rayleigh_upper,
-            "collar_ode_lambda1": {m.label: m.lambda1 for m in self.collar_modes},
+            "collar_ode_lambda1": dict(self.collar_lambda1),
             "consistency_flags": dict(self.consistency_flags),
         }
 
@@ -138,9 +121,9 @@ def assemble_report(
     Uses the minimal 2-component cut for the Rayleigh bound unless an
     explicit ``rayleigh_cut`` is given.  The network surrogate is
     skipped (with the reason recorded) when the decomposition has no
-    two-sided thin part.  Collar eigenvalues are solved once per
-    distinct width, in one batched call; zero-width collars have no
-    interior and are skipped.
+    two-sided thin part.  ``collar_lambda1`` maps each wide collar's
+    label to its eigenvalue from :func:`collar_lambda1`; zero-width
+    collars are skipped there and contracted by :func:`build_network`.
 
     Flags: ``cheeger_le_rayleigh`` orders the Cheeger lower bound for
     the surface and the Rayleigh upper bound for the network surrogate
@@ -171,12 +154,12 @@ def assemble_report(
 
     rayleigh = rayleigh_upper_bound(surface, rayleigh_cut if rayleigh_cut is not None else cut)
 
-    modes = collar_modes(ttd)
+    collars = collar_lambda1(ttd)
 
     tol = 1e-9 * max(1.0, rayleigh)
     flags = {
         "cheeger_le_rayleigh": bool(cheeger <= rayleigh + tol),
-        "collar_modes_above_quarter": all(m.lambda1 > 0.25 for m in modes),
+        "collar_modes_above_quarter": all(v > 0.25 for v in collars.values()),
         "network_in_sanity_band": (
             None
             if network_value is None
@@ -194,7 +177,7 @@ def assemble_report(
         network_lambda1=network_value,
         network_note=network_note,
         rayleigh_upper=rayleigh,
-        collar_modes=modes,
+        collar_lambda1=collars,
         consistency_flags=flags,
     )
 

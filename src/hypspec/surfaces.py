@@ -61,12 +61,6 @@ class PantsSurface:
         if problems:
             raise InvalidSurfaceError(problems)
 
-    def edge_by_label(self, label: str) -> Edge:
-        for e in self.edges:
-            if e.label == label:
-                return e
-        raise KeyError(label)
-
     @functools.cached_property
     def _graph(self) -> _DualGraph:
         """The integer view of the dual graph, built on first use and kept."""
@@ -97,6 +91,8 @@ class ChainFamilyParams:
                 f"core_length must lie in (0, 2*arcsinh(1) = {TWO_ARCSINH_ONE:.6f}), "
                 f"got {self.core_length}"
             )
+        if not math.isfinite(self.twist):
+            raise ValueError(f"twist must be finite, got {self.twist}")
 
 
 # ===================================================================

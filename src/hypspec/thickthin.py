@@ -134,16 +134,13 @@ class ThickThinDecomposition:
     forced: bool = False
 
     @property
-    def thin_labels(self) -> tuple[str, ...]:
-        return tuple(tc.label for tc in self.thin_collars)
+    def wide_collars(self) -> tuple[ThinCollar, ...]:
+        """Thin collars of positive modified width, in collar order.
 
-    def component_index(self) -> dict[str, int]:
-        """Map each pants id to the index of its thick component."""
-        out: dict[str, int] = {}
-        for i, comp in enumerate(self.thick_components):
-            for v in comp:
-                out[v] = i
-        return out
+        A zero-width collar has no interior: the collar eigenvalue map
+        skips it and the network surrogate contracts it.
+        """
+        return tuple(tc for tc in self.thin_collars if tc.half_width != 0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -40,7 +40,9 @@ def connected_components(vertices, edge_pairs):
 
 def build_network(decomposition):
     """Thick components, then the zero-width collars merge them into nodes."""
-    comp_of = decomposition.component_index()
+    comp_of = {
+        v: i for i, comp in enumerate(decomposition.thick_components) for v in comp
+    }
     n_comp = len(decomposition.thick_components)
     message = "no thin separating system; use rayleigh_upper on an explicit cut instead"
     if not decomposition.thin_collars or n_comp < 2:

@@ -311,10 +311,10 @@ def test_batch_equals_scalar_wrapper_bit_for_bit():
 
 def test_reports_solve_collars_in_one_batch():
     report = assemble_report(build_chain_family(ChainFamilyParams(genus=10, core_length=0.09)))
-    assert report.collar_modes
-    w = modified_half_width(0.09)
-    want = collar_dirichlet_lambda1_batch([w])[0][0]
-    assert all(m.lambda1 == want for m in report.collar_modes if m.half_width == w)
+    assert report.collar_lambda1
+    # every collar of the chain has the width w
+    want = collar_dirichlet_lambda1_batch([modified_half_width(0.09)])[0][0]
+    assert set(report.collar_lambda1.values()) == {want}
 
 
 def test_warning_fires_only_at_the_basis_cap(monkeypatch):

@@ -18,6 +18,7 @@ from hypspec.spectral import (
     network_lambda1,
     rayleigh_upper_bound,
 )
+from hypspec.spectral.report import collar_lambda1
 from hypspec.surfaces import (
     ChainFamilyParams,
     build_chain_family,
@@ -164,8 +165,13 @@ def test_zero_width_collars_contract():
     s = relabeled_chain(3, 0.1, {"j": 0.1, "r": 0.6, "s": 0.6})
     assert modified_half_width(0.6) == 0.0
     d = decompose(s, epsilon=0.35, force=True)
-    assert len(d.thin_labels) == 6
+    assert len(d.thin_collars) == 6
     model = build_network(d)
+    # one rule drops the zero-width collars from the network and the collar map
+    wide = ["j000", "j001"]
+    assert [tc.label for tc in d.wide_collars] == wide
+    assert [e.label for e in model.edges] == wide
+    assert list(collar_lambda1(d)) == wide
     assert model.n_nodes == 3
     assert [len(p) for p in model.node_pants] == [1, 2, 1]
     assert model.masses == (
@@ -173,7 +179,6 @@ def test_zero_width_collars_contract():
         4.0 * math.pi,
         2.0 * math.pi,
     )
-    assert sorted(e.label for e in model.edges) == ["j000", "j001"]
     # oracle for the 3-node path with these masses
     c = collar_conductance(0.1, modified_half_width(0.1))
     lap = np.array([[c, -c, 0.0], [-c, 2 * c, -c], [0.0, -c, c]])
@@ -193,7 +198,7 @@ def test_everything_contracts_raises():
 def test_no_thin_collars_raises_with_guidance():
     s = chain(3, 1.0)
     d = decompose(s, epsilon=0.05)
-    assert d.thin_labels == ()
+    assert d.thin_collars == ()
     with pytest.raises(NetworkBuildError, match="no thin separating system"):
         build_network(d)
 
@@ -220,6 +225,31 @@ def test_dense_node_cap():
     tiny = NetworkModel(genus=2, node_pants=(("p0",),), masses=(1.0,), edges=())
     with pytest.raises(ValueError):
         network_lambda1(tiny)
+
+
+@pytest.mark.parametrize(
+    "masses, a, b, conductance, match",
+    [
+        ((1.0, 1.0), 0, 1, -1.0, "conductance of edge 'e' .* got -1.0"),
+        ((1.0, 1.0), 0, 1, math.nan, "conductance of edge 'e' .* got nan"),
+        ((1.0, 1.0), 0, 1, math.inf, "conductance of edge 'e' .* got inf"),
+        ((1.0, 0.0), 0, 1, 1.0, "mass of node 1 .* got 0.0"),
+        ((-1.0, 1.0), 0, 1, 1.0, "mass of node 0 .* got -1.0"),
+        ((1.0, 1.0), 0, 2, 1.0, "edge 'e' joins nodes 0, 2 outside 0..1"),
+        ((1.0, 1.0), -1, 1, 1.0, "edge 'e' joins nodes -1, 1 outside 0..1"),
+    ],
+    ids=["negative-conductance", "nan-conductance", "inf-conductance", "zero-mass",
+         "negative-mass", "endpoint-past-n", "negative-endpoint"],
+)
+def test_malformed_network_is_refused(masses, a, b, conductance, match):
+    # network_lambda1 would return 0.0 or nan, or raise IndexError, on these
+    with pytest.raises(ValueError, match=match):
+        NetworkModel(
+            genus=2,
+            node_pants=tuple((f"p{i}",) for i in range(len(masses))),
+            masses=masses,
+            edges=(NetworkEdge(label="e", a=a, b=b, conductance=conductance),),
+        )
 
 
 def test_rayleigh_needs_a_bipartition():

@@ -60,8 +60,8 @@ def test_full_report_on_short_chain():
     assert rep.consistency_flags["collar_modes_above_quarter"] is True
     assert rep.consistency_flags["network_in_sanity_band"] is True
     # every thin collar shares one geometry here, so one mode value
-    vals = {m.lambda1 for m in rep.collar_modes}
-    assert len(rep.collar_modes) == 27
+    vals = set(rep.collar_lambda1.values())
+    assert len(rep.collar_lambda1) == 27
     assert len(vals) == 1
     assert vals.pop() == pytest.approx(1.20094353769434, rel=1e-9)
 
@@ -71,7 +71,7 @@ def test_report_without_thin_part():
     assert rep.network_lambda1 is None
     assert "no thin separating system" in rep.network_note
     assert rep.consistency_flags["network_in_sanity_band"] is None
-    assert rep.collar_modes == ()
+    assert rep.collar_lambda1 == {}
     # the rigorous bounds still populate
     assert rep.cheeger_lower > 0.0
     assert rep.rayleigh_upper > 0.0

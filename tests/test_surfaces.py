@@ -49,7 +49,7 @@ def test_genus_two_chain_is_the_handcuffs_graph():
     assert labels == ["j000", "s000", "s001"]
     loops = [e for e in s.edges if e.a == e.b]
     assert len(loops) == 2
-    join = s.edge_by_label("j000")
+    (join,) = [e for e in s.edges if e.label == "j000"]
     assert join.a != join.b
 
 
@@ -67,7 +67,6 @@ def test_central_join_balances_even_genus():
     g = 8
     s = chain(g)
     label = chain_central_join_label(g)
-    e = s.edge_by_label(label)
     # removing the central join splits the pants evenly for even genus
     halves = s._graph.parts(k for k, x in enumerate(s.edges) if x.label != label)
     assert sorted(len(c) for c in halves) == [g - 1, g - 1]
@@ -86,6 +85,9 @@ def test_chain_params_validation():
         # beyond 2 arcsinh(1) the curve could not be the systole of any
         # surface in the family, and the collar bounds degrade
         ChainFamilyParams(genus=3, core_length=2.0)
+    for twist in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"twist must be finite, got {twist}"):
+            ChainFamilyParams(genus=3, core_length=0.09, twist=twist)
 
 
 def test_round_trip_through_json():
@@ -145,6 +147,12 @@ def _broken_descriptions():
     yield broken, [
         f"duplicate edge labels: [{label2!r}]",
         f"edge {label0!r} has non-positive or non-finite length -1.0",
+    ]
+    # a file's twists are per curve, so each bad one is listed
+    broken = json.loads(json.dumps(good))
+    broken["edges"][0]["twist"] = broken["edges"][4]["twist"] = math.nan
+    yield broken, [
+        f"edge {broken['edges'][k]['label']!r} has non-finite twist nan" for k in (0, 4)
     ]
 
 

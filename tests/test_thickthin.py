@@ -165,7 +165,7 @@ def test_chain_decomposition_all_curves_thin():
     s = chain(10, 0.09)
     d = decompose(s)
     assert not d.forced
-    assert sorted(d.thin_labels) == sorted(e.label for e in s.edges)
+    assert sorted(tc.label for tc in d.thin_collars) == sorted(e.label for e in s.edges)
     # cutting every curve isolates each pair of pants
     assert len(d.thick_components) == len(s.vertices)
     for tc in d.thin_collars:
@@ -177,12 +177,12 @@ def test_thin_threshold_is_strict():
     eps = 0.05
     at = chain(3, 2 * eps)  # length exactly 2*eps: not thin
     d = decompose(at, epsilon=eps)
-    assert d.thin_labels == ()
+    assert d.thin_collars == ()
     assert len(d.thick_components) == 1
 
     below = chain(3, 2 * eps - 1e-9)
     d2 = decompose(below, epsilon=eps)
-    assert len(d2.thin_labels) == len(below.edges)
+    assert len(d2.thin_collars) == len(below.edges)
 
 
 def test_mixed_decomposition_structure():
@@ -193,22 +193,14 @@ def test_mixed_decomposition_structure():
             e["length"] = 0.09
     s = build_from_description(desc)
     d = decompose(s)
-    assert sorted(d.thin_labels) == ["j000", "j001", "j002"]
+    assert sorted(tc.label for tc in d.thin_collars) == ["j000", "j001", "j002"]
     # ends become singletons, the two middle blocks stay rung-tied
     sizes = sorted(len(comp) for comp in d.thick_components)
     assert sizes == [1, 1, 2, 2]
-    idx = d.component_index()
+    idx = {v: i for i, comp in enumerate(d.thick_components) for v in comp}
     for tc in d.thin_collars:
         left, right = tc.endpoints
         assert idx[left] != idx[right]
-
-
-def test_component_index_covers_every_pants():
-    s = chain(6)
-    d = decompose(s)
-    idx = d.component_index()
-    for v in s.vertices:
-        assert v in d.thick_components[idx[v]]
 
 
 def test_to_dict_is_json_serializable():
