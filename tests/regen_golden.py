@@ -63,6 +63,8 @@ def long_chain() -> PantsSurface:
 INPUTS = {
     "random-g3-s1-continuous": lambda: random_pants_surface(random.Random(1), 3, continuous_length),
     "random-g4-s2-ties": lambda: random_pants_surface(random.Random(2), 4, tie_length),
+    # one bridge (c003), but the i = 1 optimum is the two-curve cut c005 + c006
+    "random-g4-s1-bridged": lambda: random_pants_surface(random.Random(1), 4, continuous_length),
     "random-g5-s3-mixed": lambda: random_pants_surface(random.Random(3), 5, mixed_length),
     "random-g6-s4-short": lambda: random_pants_surface(random.Random(4), 6, short_length),
     "long-g3-2000": long_chain,
