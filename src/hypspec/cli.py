@@ -178,7 +178,9 @@ def cmd_bounds(args) -> int:
 
     surface = _surface_from_args(args)
     cut = None
-    if args.cut:
+    if args.cut == "":
+        raise ValueError("--cut must name at least one label")
+    if args.cut is not None:
         try:
             cut = make_multicut(surface, args.cut.split(","))
         except KeyError as exc:  # an unknown label is an input error, not a crash

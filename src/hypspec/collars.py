@@ -44,15 +44,22 @@ def max_half_width(length: float) -> float:
     Past l ~ 1420.9, where sinh(l/2) overflows, 1/sinh(l/2) is
     2 e^(-l/2) to double precision; it is formed as 2 y y with
     y = e^(-l/4), so it is rounded only once into the subnormal range
-    (and to 0 from l ~ 1489 on).
+    (and to 0 from l ~ 1489 on).  Below l ~ 1.1e-308, where 1/sinh(l/2)
+    overflows, sinh(l/2) is l/2 and arcsinh(x) is log(2x) to double
+    precision, so the width is log 4 - log l (712.9 at l = 1e-309).
     """
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
     try:
-        return math.asinh(1.0 / math.sinh(0.5 * length))
+        inverse = 1.0 / math.sinh(0.5 * length)
     except OverflowError:
         y = math.exp(-0.25 * length)
         return math.asinh(2.0 * y * y)
+    except ZeroDivisionError:  # l/2 rounds to 0 at the least subnormal
+        inverse = math.inf
+    if inverse == math.inf:
+        return math.log(4.0) - math.log(length)
+    return math.asinh(inverse)
 
 
 def modified_half_width(length: float) -> float:
@@ -61,17 +68,32 @@ def modified_half_width(length: float) -> float:
 
 
 def collar_volume(length: float, half_width: float) -> float:
-    """Area 2 l sinh(w) of the collar of half-width w."""
+    """Area 2 l sinh(w) of the collar of half-width w.
+
+    Past w ~ 710.5, where sinh(w) overflows, e^(-w) is nothing beside
+    e^w, and the area is exp(w + log l): finite for the widths of
+    curves shorter than 1e-308.
+    """
     if half_width < 0.0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    return 2.0 * length * math.sinh(half_width)
+    try:
+        return 2.0 * length * math.sinh(half_width)
+    except OverflowError:
+        return math.exp(half_width + math.log(length))
 
 
 def shell_volume(length: float, half_width: float) -> float:
-    """Area 2 l (sinh(w+1) - sinh(w)) of the unit shell outside half-width w."""
+    """Area 2 l (sinh(w+1) - sinh(w)) of the unit shell outside half-width w.
+
+    Past w ~ 709.5, where sinh(w+1) overflows, the area is
+    (e - 1) exp(w + log l), as in :func:`collar_volume`.
+    """
     if half_width < 0.0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    return 2.0 * length * (math.sinh(half_width + 1.0) - math.sinh(half_width))
+    try:
+        return 2.0 * length * (math.sinh(half_width + 1.0) - math.sinh(half_width))
+    except OverflowError:
+        return (math.e - 1.0) * math.exp(half_width + math.log(length))
 
 
 def gudermannian(w: float) -> float:

@@ -7,17 +7,16 @@ multigraph: find the cheapest edge set whose removal leaves >= i+1
 connected components.
 
 ``min_separating_length`` runs one search per problem.  It solves
-i = 1 exactly as a global minimum edge cut (bridges, then Stoer-Wagner
-on each 2-edge-connected block) in polynomial time.  Before
-Stoer-Wagner runs, every block edge that outweighs the block's cheapest
-single-pants star, or the best cut found so far, is contracted: no
-minimum cut holds it (Padberg & Rinaldi, Math. Programming 47, 1990),
-so the optimum and its tie-break are unchanged (see
-``_min_cut_global``).  Every i >= 2 runs a best-first branch-and-bound
-under a node budget.  Both compare the exact integer key sums of
-``_cut_keys``: ties are exact ties of the summed lengths and break
-toward the lexicographically smallest label tuple.  ``bers_upper_bound``
-gives the classical existence bound 78 i (g-1).
+i = 1 exactly as a global minimum edge cut in polynomial time: every
+edge that outweighs the cheapest single-pants star is contracted, since
+no minimum cut holds it (Padberg & Rinaldi, Math. Programming 47,
+1990), and Stoer-Wagner runs once on what is left, so the optimum and
+its tie-break are unchanged (see ``_min_cut_global``).  Every i >= 2
+runs a best-first branch-and-bound under a node budget.  Both compare
+the exact integer key sums of ``_cut_keys``: ties are exact ties of the
+summed lengths and break toward the lexicographically smallest label
+tuple.  ``bers_upper_bound`` gives the classical existence bound
+78 i (g-1).
 """
 from __future__ import annotations
 
@@ -114,56 +113,6 @@ def _cut_keys(edges) -> list[int]:
     ]
 
 
-def _bridges_and_blocks(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
-    """Bridges of a connected multigraph and the block of every vertex.
-
-    Iterative Tarjan.  The DFS skips only the edge it arrived by, not
-    every edge to the parent, so of two parallel edges neither is a
-    bridge.  A vertex roots a 2-edge-connected block when it is the DFS
-    root or its tree edge is a bridge; the block is that vertex and
-    every vertex discovered after it that no deeper block has claimed.
-    Blocks are named by their root vertex.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (a, b) in enumerate(ends):
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    disc = [-1] * n
-    low = [0] * n
-    block = [0] * n
-    disc[0] = 0
-    clock = 1
-    bridges = []
-    unclaimed = [0]
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, via, it = stack[-1]
-        for w, k in it:
-            if k == via:
-                continue
-            if disc[w] < 0:
-                disc[w] = low[w] = clock
-                clock += 1
-                unclaimed.append(w)
-                stack.append((w, k, iter(adj[w])))
-                break
-            low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] <= disc[u]:
-                    continue
-                bridges.append(via)
-            while True:
-                x = unclaimed.pop()
-                block[x] = v
-                if x == v:
-                    break
-    return bridges, block
-
-
 def _stoer_wagner(weighted) -> tuple[int, set[int]]:
     """Minimum cut value of a connected loop-free multigraph and one side of it.
 
@@ -212,90 +161,40 @@ def _stoer_wagner(weighted) -> tuple[int, set[int]]:
 def _min_cut_global(surface: PantsSurface) -> Multicut:
     """Exact minimum separating set for i = 1 in polynomial time.
 
-    With the positive keys of :func:`_cut_keys` the optimum is an
-    inclusion-minimal disconnecting set, so it is either a single bridge
-    or lies inside one 2-edge-connected block: the blocks hang off the
-    bridges as a tree, so the part of a cut inside any block it splits
-    already disconnects the surface.  Conversely every cut of a block
-    disconnects the surface.  So the answer is the lowest-key bridge or
-    the lowest Stoer-Wagner cut over the blocks, self-loops never being
-    cut.  Among single edges the key order is the (length, label) order,
-    so bridges need no keys.
+    With K(S) the key sum (:func:`_cut_keys`) of an edge set S, the answer
+    is the cut O of the dual graph with the least K(O); self-loops are
+    never cut.  The star of a pants is the set of its non-loop edges, and
+    U is the least key sum of a star.  Every edge whose key exceeds U is
+    contracted (the test of Padberg & Rinaldi, Math. Programming 47,
+    1990), and Stoer-Wagner runs once on what is left.  Proof that the
+    answer and its tie-break do not change:
 
-    Every cut of a 2-edge-connected block has at least two edges, so a
-    block is skipped when the floating-point sum of its two shortest
-    curves exceeds the incumbent's correctly rounded length: rounding is
-    monotone, so the exact sums compare the same way.  The keys are only
-    built when some block is not skipped.
-
-    Before Stoer-Wagner runs on a block, every block edge whose key
-    exceeds the bound U is contracted (the test of Padberg & Rinaldi,
-    Math. Programming 47, 1990).  U is the smaller of the incumbent's
-    key sum, when there is an incumbent, and the cheapest star of the
-    block: the key sum of the block edges at one pants.  Proof that the
-    answer and its tie-break do not change, with K(S) the key sum of an
-    edge set S and O the block's optimum:
-
-    1. The star of a pants is a cut of the block, so K(O) is at most
-       the cheapest star.
-    2. O changes the answer only if there is no incumbent or K(O) is
-       below the incumbent's sum; either way K(O) <= U.  Keys are
-       positive, so every edge of O has key at most K(O) <= U: none is
-       contracted, and O is a cut of the contracted block.
-    3. Contraction keeps exactly the cuts of the block that avoid the
-       contracted edges, each with its own crossing edges and key sum.
-       So in the case of (2) the contracted minimum is O, the unique
-       minimum because distinct edge sets have distinct key sums, and
-       the tie-break is the key order as before.  Otherwise every cut
-       of the block, the contracted minimum among them, sums to more
-       than the incumbent, which stays.
-
-    By (2), a block whose edges are all contracted cannot change the
-    answer, so it is skipped.
+    1. A star is a cut, so K(O) <= U.
+    2. Keys are positive, so every edge of O has key at most K(O) <= U,
+       and none is contracted.
+    3. Contraction keeps exactly the cuts that avoid the contracted
+       edges, each with its own crossing edges and key sum.  So O is a
+       cut of the contracted graph, and its least one.
+    4. Distinct edge sets have distinct key sums, so O is the unique
+       minimum, and the tie-break is the key order as before.
+    5. Every non-loop edge at the pants of the cheapest star has key at
+       most U, so no contraction joins that pants to another: at least
+       two vertices remain.
     """
     ends = surface._graph.ends
-    lengths = [e.length for e in surface.edges]
-    n = len(surface._graph.vertices)
-    bridges, block_of = _bridges_and_blocks(n, ends)
-
-    blocks: dict[int, list[int]] = {}
-    for k, (a, b) in enumerate(ends):
-        if a != b and block_of[a] == block_of[b]:
-            blocks.setdefault(block_of[a], []).append(k)
-
-    best_cut = [min(bridges, key=lambda k: (lengths[k], k))] if bridges else []
-    best_length = lengths[best_cut[0]] if bridges else math.inf
-    keys: list[int] | None = None
-    for block in blocks.values():
-        shortest, second = sorted([lengths[k] for k in block])[:2]
-        if shortest + second > best_length:
-            continue
-        if keys is None:
-            keys = _cut_keys(surface.edges)
-        star: dict[int, int] = {}
-        for k in block:
-            a, b = ends[k]
-            star[a] = star.get(a, 0) + keys[k]
-            star[b] = star.get(b, 0) + keys[k]
-        bound = min(star.values())
-        if best_cut:
-            bound = min(bound, sum(keys[k] for k in best_cut))
-        root = _union_find(n, [ends[k] for k in block if keys[k] > bound])
-        weighted = [
-            (root[a], root[b], keys[k])
-            for k in block
-            for a, b in (ends[k],)
-            if root[a] != root[b]
-        ]
-        if not weighted:
-            continue
-        value, side = _stoer_wagner(weighted)
-        if not best_cut or value < sum(keys[k] for k in best_cut):
-            best_cut = [
-                k for k in block if (root[ends[k][0]] in side) != (root[ends[k][1]] in side)
-            ]
-            best_length = math.fsum(lengths[k] for k in best_cut)
-    return make_multicut(surface, [surface.edges[k].label for k in best_cut])
+    keys = _cut_keys(surface.edges)
+    star = [0] * len(surface._graph.vertices)
+    for (a, b), key in zip(ends, keys):
+        if a != b:
+            star[a] += key
+            star[b] += key
+    bound = min(star)
+    root = _union_find(len(star), [ends[k] for k, key in enumerate(keys) if key > bound])
+    kept = [(k, root[a], root[b]) for k, (a, b) in enumerate(ends) if root[a] != root[b]]
+    _, side = _stoer_wagner([(a, b, keys[k]) for k, a, b in kept])
+    return make_multicut(
+        surface, [surface.edges[k].label for k, a, b in kept if (a in side) != (b in side)]
+    )
 
 
 # ===================================================================
@@ -358,10 +257,10 @@ def min_separating_length(surface: PantsSurface, i: int) -> Multicut:
 
     Ties are exact ties of the summed lengths and break toward the
     lexicographically smallest label tuple.  i = 1 is the exact global
-    minimum cut (bridges, then Stoer-Wagner); every i >= 2 runs
-    branch-and-bound, which raises a ValueError past ``BNB_NODE_BUDGET``
-    nodes.  It pushes at most 2^m nodes on m curves, so no surface of
-    at most 20 curves (genus <= 7) can reach the budget.
+    minimum cut (star contraction, then one Stoer-Wagner run); every
+    i >= 2 runs branch-and-bound, which raises a ValueError past
+    ``BNB_NODE_BUDGET`` nodes.  It pushes at most 2^m nodes on m curves,
+    so no surface of at most 20 curves (genus <= 7) can reach the budget.
     """
     _validate_i(surface.genus, i)
     if i == 1:

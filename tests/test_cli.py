@@ -13,6 +13,7 @@ import pytest
 import hypspec.spectral.corpus
 import hypspec.spectral.gridfun
 import hypspec.verify
+from hypspec.spectral.collar_ode import ExtrapolationWarning
 from hypspec.spectral.corpus import CROSSING_SHAPES, CUTOFF_SHAPES
 from hypspec.verify import CHECKS
 from hypspec.cli import (
@@ -253,6 +254,17 @@ def test_exit_code_unknown_rayleigh_cut_label(capsys):
     assert err == "error: unknown edge labels: ['nope']\n"
 
 
+def test_exit_code_empty_rayleigh_cut(capsys):
+    # an empty --cut names no cut; it must not fall back to the L1 cut
+    code, out, err = run(
+        capsys, "bounds", "--family", "chain", "--genus", "4", "--length", "0.09",
+        "--cut", "",
+    )
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: --cut must name at least one label\n"
+
+
 def test_exit_code_repeated_rayleigh_cut_label(capsys):
     code, out, err = run(
         capsys, "bounds", "--family", "chain", "--genus", "4", "--length", "0.09",
@@ -327,6 +339,42 @@ def test_curves_longer_than_the_sinh_overflow_end_in_exit_codes(tmp_path, capsys
         "volume (collar/shell areas outside [1/2, 4]), "
         "smallness (eps >= 1/(2e^2) = 0.067667642)\n"
     )
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_curves_shorter_than_the_quotient_overflow_get_finite_collars(tmp_path, capsys):
+    # 1/sinh(l/2) overflows below l ~ 1.1e-308; the collar stays finite,
+    # of width log 4 - log l, and every command prints finite numbers
+    _, out, _ = run(capsys, "build", "--family", "chain", "--genus", "3", "--length", "0.09")
+    desc = json.loads(out)
+    for e in desc["edges"]:
+        if e["label"] == "j000":
+            e["length"] = 1e-309
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run(capsys, "thickthin", "--input", str(path))
+    assert code == EXIT_OK
+    (collar,) = [c for c in _strict_json(out)["thin_collars"] if c["label"] == "j000"]
+    assert collar["half_width"] == pytest.approx(math.log(4.0) - math.log(1e-309) - 2.0, rel=1e-15)
+    code, out, _ = run(capsys, "geometry", "--input", str(path))
+    assert code == EXIT_OK
+    row = out.split("\n")[1].split(",")
+    assert row[0] == "j000" and all(math.isfinite(float(x)) for x in row[1:])
+    # the collar ODE resolves widths up to about 200 and warns past them
+    with pytest.warns(ExtrapolationWarning, match="half_width=710.885"):
+        code, out, _ = run(capsys, "bounds", "--input", str(path))
+    assert code == EXIT_OK
+    assert _strict_json(out)["collar_ode_lambda1"]["j000"] > 0.25
+    # T(2 eps) -> 4/e^2 and S(2 eps) -> 4(e-1)/e^2, both inside [1/2, 4]
+    code, out, _ = run(capsys, "thickthin", "--input", str(path), "--epsilon", "1e-310")
+    assert code == EXIT_OK
+    _strict_json(out)
 
 
 def test_exit_code_overflowing_conductance_sum(tmp_path, capsys):

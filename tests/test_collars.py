@@ -53,6 +53,31 @@ def test_max_half_width_past_the_sinh_overflow():
     assert max_half_width(1500.0) == max_half_width(1e300) == 0.0
 
 
+# 1/sinh(l/2) overflows below l ~ 1.1e-308, and l/2 rounds to 0 at 5e-324
+SHORTEST = (1e-300, 1e-308, 1e-309, 1e-320, 5e-324)
+
+
+def test_max_half_width_past_the_quotient_overflow():
+    for ell in SHORTEST:
+        expect = float(mp_half_width(ell))
+        assert max_half_width(ell) == pytest.approx(expect, rel=1e-15), ell
+    assert max_half_width(1e-309) == pytest.approx(712.885088096, rel=1e-11)
+
+
+def test_collar_areas_past_the_sinh_overflow():
+    # widths past ~710 overflow sinh; the full collar's area tends to 4,
+    # the modified one's to 4/e^2 and its shell's to 4(e-1)/e^2
+    for ell in SHORTEST:
+        for w in (max_half_width(ell), modified_half_width(ell)):
+            collar = 2 * mpmath.mpf(ell) * mpmath.sinh(w)
+            shell = 2 * mpmath.mpf(ell) * (mpmath.sinh(mpmath.mpf(w) + 1) - mpmath.sinh(w))
+            assert collar_volume(ell, w) == pytest.approx(float(collar), rel=1e-13), ell
+            assert shell_volume(ell, w) == pytest.approx(float(shell), rel=1e-13), ell
+        w = modified_half_width(ell)
+        assert collar_volume(ell, w) == pytest.approx(4 / math.e**2, rel=1e-12)
+        assert shell_volume(ell, w) == pytest.approx(4 * (math.e - 1) / math.e**2, rel=1e-12)
+
+
 def test_modified_half_width_offsets_by_two():
     assert modified_half_width(0.09) == pytest.approx(1.7944086998410058, rel=1e-13)
     # once the full width drops under 2 the modified width clamps at zero

@@ -27,6 +27,7 @@ from hypspec.surfaces import (
 )
 
 from cut_oracle import min_cut_exhaustive
+from flow_oracle import min_cut_key_sum
 from random_pants import continuous_length, random_pants_surface, tie_length
 
 LENGTH_DRAWS = {"continuous": continuous_length, "ties": tie_length}
@@ -370,3 +371,23 @@ def test_every_method_returns_the_exact_optimum_on_tied_lengths(lengths):
             want = _exact_min_cut(s, i)
             for name, search in SEARCHES.items():
                 assert search(s, i) == want, (name, i)
+
+
+# past the scan's and branch-and-bound's reach: continuous, tied and
+# short thin lengths, as LENGTH_DRAWS plus the short ties above
+FLOW_DRAWS = {**LENGTH_DRAWS, "short": lambda r: r.choice(SHORT_TIES)}
+
+
+def _flow_surfaces():
+    for genus in (13, 20, 30, 40, 60):
+        for k, draw in enumerate(FLOW_DRAWS.values()):
+            for seed in range(2):
+                yield random_pants_surface(random.Random(1000 * genus + 10 * k + seed), genus, draw)
+    yield chain(256)
+
+
+def test_global_min_cut_has_the_max_flow_key_sum():
+    for s in _flow_surfaces():
+        keys = dict(zip((e.label for e in s.edges), cuts._cut_keys(s.edges)))
+        cut = min_separating_length(s, 1)
+        assert sum(keys[l] for l in cut.edge_labels) == min_cut_key_sum(s), s.genus
