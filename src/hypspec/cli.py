@@ -10,7 +10,9 @@ Each command imports the spectral modules, :mod:`hypspec.verify` and
 :mod:`hypspec.cuts` only when it runs: ``build``, ``geometry``,
 ``cuts``, ``thickthin`` and ``--version`` load no numpy, ``bounds`` and
 ``spectrum`` no ``verify`` machinery, and ``spectrum`` and ``verify``
-no cut search.
+no cut search.  No command loads ``numpy.random``: ``verify`` draws
+from its own :class:`hypspec.verify.SplitMix64` stream, and refuses a
+negative ``--seed`` with exit 2.
 """
 from __future__ import annotations
 

@@ -30,8 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .verify import Draws
 
 CUT_RTOL = 1e-12
 
@@ -235,7 +239,7 @@ def find_cut_indices(stack: IntervalStack) -> np.ndarray:
 # -------------------------------------------------------------------
 
 def random_interval_systems(
-    rng: np.random.Generator, count: int, max_intervals: int = 8
+    rng: Draws, count: int, max_intervals: int = 8
 ) -> IntervalStack:
     """``count`` random chain-ordered systems, degenerate and touching cases included.
 
@@ -245,14 +249,16 @@ def random_interval_systems(
     (kept with probability 0.7) symmetric uniform matrix.  The stack
     has width ``max_intervals``.
 
-    The draws come as whole arrays: one ``integers`` call gives every
-    system's n, uniform on 2..max_intervals, then one ``random`` call
-    per size, in increasing order of size, gives the 4n - 1 + 2n^2
-    values of each system of that size, one row per system in stack
-    order, sliced into the 2n endpoints (scaled to [0, 10]), the 2n - 1
-    collapse coins, the n x n weights and the n x n sparsity mask.  So
-    every system has the law of drawing it on its own; only which draw
-    lands in which system depends on the sizes drawn.
+    ``rng`` is any generator with the calls of
+    :class:`hypspec.verify.Draws`, and the draws come as whole arrays:
+    one ``integers(2, max_intervals + 1, size=count)`` call gives every
+    system's n, then one ``random`` call per size, in increasing order
+    of size, gives the 4n - 1 + 2n^2 uniforms of each system of that
+    size, one row per system in stack order, sliced into the 2n
+    endpoints (scaled to [0, 10]), the 2n - 1 collapse coins, the n x n
+    weights and the n x n sparsity mask.  So every system has the law
+    of drawing it on its own; only which draw lands in which system
+    depends on the sizes drawn.
     """
     n = rng.integers(2, max_intervals + 1, size=count)
     width = max_intervals

@@ -6,7 +6,10 @@ collar shapes.  The cutoff bound has hypotheses (core mass at least c,
 shell mass and energy at most delta*c), so its corpus is built to
 satisfy them: plateau profiles that taper inside the collar to a small
 residual level, times a mild oscillation along the core.  Both
-generators are pure functions of the supplied RNG.
+corpora are pure functions of the supplied generator, any object with
+the four calls of :class:`hypspec.verify.Draws` (``verify`` passes its
+:class:`~hypspec.verify.SplitMix64` stream, the tests also numpy's
+``Generator``).
 
 Function k of a corpus lives on shape ``k % len(shapes)``.  Every
 function's parameters are drawn first, as whole arrays over the
@@ -18,15 +21,18 @@ stack as its (k, rows, 1) profiles times its (k, 1, n_t) modulations.
 No node grid is formed; the energies reduce on the factors.  The
 crossing corpus returns the list of its shapes' stacks, the cutoff
 corpus the list of its shapes' (stack, floors).
-The crossing corpus draws four arrays, in this order: every degree,
-every coefficient (four rows per function, those above its degree set
-to zero), every frequency triple, every phase triple; each function
-has the law of drawing it alone, and only which draw lands in which
+The crossing corpus draws four arrays, in this order: every degree
+(``integers``), every coefficient (``standard_normal``; four rows per
+function, those above its degree set to zero), every frequency triple
+(``integers``), every phase triple (``uniform``); each function has
+the law of drawing it alone, and only which draw lands in which
 function depends on the order.  The cutoff corpus draws its four
-parameters per function as one ``random((count, 4))`` array, which
-gives the values and generator state of one ``uniform`` call per
-parameter and function.  The node values and the floors are those of
-sampling each function on its own.
+parameters per function as one ``random((count, 4))`` array.  A
+generator whose ``random`` calls concatenate and whose ``uniform`` is
+``low + (high - low) * random``, as both generators above are, gives
+from it the values and state of one ``uniform`` call per parameter and
+function.  The node values and the floors are those of sampling each
+function on its own.
 
 A stack's node values (``values``) are its factors' ``np.matmul``.  For
 a crossing stack that is rounded as BLAS rounds the product (it may
@@ -38,11 +44,15 @@ exact product of profile and modulation.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..collars import max_half_width
 from .gridfun import CollarGridFunction, _grid, dirichlet_energy, l2_norm_sq
+
+if TYPE_CHECKING:
+    from ..verify import Draws
 
 CROSSING_LENGTHS = (0.05, 0.1, 0.5)
 CROSSING_SHAPES = tuple(
@@ -58,7 +68,7 @@ CUTOFF_N_T = 32
 _MAX_TRIG_DEGREE = 3
 
 
-def crossing_corpus(rng: np.random.Generator, count: int) -> list[CollarGridFunction]:
+def crossing_corpus(rng: Draws, count: int) -> list[CollarGridFunction]:
     """``count`` random smooth functions over (length, width) in a fixed spread.
 
     Each function is f(rho, t) = sum_m p_m(rho / w) cos(2 pi n_m t + phi_m),
@@ -115,12 +125,12 @@ def _plateau_stack(
 
 
 def _uniform(u, lo: float, hi: float):
-    """``rng.uniform(lo, hi)`` from ``u = rng.random()``: numpy computes lo + (hi - lo) * u."""
+    """``rng.uniform(lo, hi)`` from ``u = rng.random()``: :class:`Draws` gives lo + (hi - lo) * u."""
     return lo + (hi - lo) * u
 
 
 def cutoff_corpus(
-    rng: np.random.Generator, count: int, *, delta: float = 1.0 / 64.0
+    rng: Draws, count: int, *, delta: float = 1.0 / 64.0
 ) -> list[tuple[CollarGridFunction, np.ndarray]]:
     """``count`` functions f with floors c satisfying the cutoff hypotheses at ``delta``.
 

@@ -279,40 +279,47 @@ def _mass(r: _RegionRows, sub: np.ndarray, c_root: np.ndarray):
     return _sum_sq(r.mass_w, np.matmul(sub, c_root))
 
 
-def _radial_diff(sub: np.ndarray) -> np.ndarray:
-    """``np.diff(sub, axis=-2)``, taken as one flat subtraction.
+def _radial_diff(radial: np.ndarray, rows: slice) -> np.ndarray:
+    """``np.diff(radial[..., rows, :], axis=-2)``, taken as one flat subtraction.
 
-    The rows of the whole stack are read as one run, each function's
-    after the last's, so a row pairs with the next one r entries on; the
-    differences that pair a function's last row with the next
-    function's first are dropped.  A flat subtraction needs none of the
-    buffers numpy allocates for a strided one.
+    ``radial`` is C-contiguous, so its rows are one flat run, each
+    function's after the last's, and a row pairs with the next one r
+    entries on.  The subtraction reads that run over the base array,
+    from the first selected row of the first function to the last of
+    the last, so a slice of rows is never copied; the result is a view
+    of a base-shaped buffer that drops the differences pairing rows
+    outside the slice (a function's last selected row and the next
+    function's rows).  A flat subtraction needs none of the buffers
+    numpy allocates for a strided one.
     """
-    sub = np.ascontiguousarray(sub)
-    flat, r = sub.reshape(-1), sub.shape[-1]
-    n = flat.size - r
-    out = np.empty(sub.shape)
-    np.subtract(flat[r:], flat[:n], out=out.reshape(-1)[:n])
-    return out[..., :-1, :]
+    first, stop, _ = rows.indices(radial.shape[-2])
+    flat, r = radial.reshape(-1), radial.shape[-1]
+    lo, hi = first * r, flat.size - (radial.shape[-2] - stop) * r
+    out = np.empty(radial.shape)
+    np.subtract(flat[lo + r : hi], flat[lo : hi - r], out=out.reshape(-1)[: hi - lo - r])
+    return out[..., : stop - first - 1, :]
 
 
-def _dirichlet(r: _RegionRows, sub: np.ndarray, roots: np.ndarray):
-    """Dirichlet quadrature of the region's radial rows ``sub``.
+def _dirichlet(r: _RegionRows, radial: np.ndarray, roots: np.ndarray, rows=slice(None)):
+    """Dirichlet quadrature of the region's radial rows ``radial[..., rows, :]``.
 
     A radial difference of the nodes is the difference of two radial
     rows times the circular factor, and a circular difference is the
     radial row times the circular difference of the circular factor;
-    each is summed over the circle through the matching root.
+    each is summed over the circle through the matching root.  Rows
+    that are not one slice (the shell's) are gathered first.
     """
+    if not isinstance(rows, slice):
+        radial, rows = radial[..., rows, :], slice(None)
     c_root, d_root = roots
-    e_rho = _sum_sq(r.cell_w, np.matmul(_radial_diff(sub), c_root))
-    return e_rho + _sum_sq(r.t_w, np.matmul(sub, d_root))
+    e_rho = _sum_sq(r.cell_w, np.matmul(_radial_diff(radial, rows), c_root))
+    return e_rho + _sum_sq(r.t_w, np.matmul(radial[..., rows, :], d_root))
 
 
 def dirichlet_energy(f: CollarGridFunction, region: str = "all") -> float | np.ndarray:
     """Quadrature of |grad f|^2 over the region (second order in both steps)."""
     r = _region_rows(f, region)
-    return _dirichlet(r, f.radial[..., r.rows, :], f._roots)
+    return _dirichlet(r, f.radial, f._roots, r.rows)
 
 
 # -------------------------------------------------------------------

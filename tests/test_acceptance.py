@@ -5,7 +5,7 @@ measured quantities before asserting, so a red run still reports what
 was actually computed.  Runtime budgets are asserted alongside the
 numerical claims.  Criteria 1-6 run the checks of ``hypspec.verify``
 (criterion 4 for its 9-point grid), the functions ``hypspec verify``
-runs, each on a generator seeded 42.
+runs, each on verify's own generator, ``SplitMix64(42)``.
 
 Two criteria are known to fail as stated, and the failures are real
 measurements rather than bugs:
@@ -39,6 +39,7 @@ from hypspec.surfaces import (
     surface_to_dict,
 )
 from hypspec.verify import (
+    SplitMix64,
     check_collar_identity,
     check_collar_ode,
     check_crossing_energy,
@@ -61,7 +62,7 @@ def chain(genus, length=0.09):
 
 def test_criterion_1_collar_identities():
     t0 = time.perf_counter()
-    passed, total = check_collar_identity(np.random.default_rng(42))
+    passed, total = check_collar_identity(SplitMix64(42))
     elapsed = time.perf_counter() - t0
     ok = passed == total and elapsed < 1.0
     _line(1, ok, f"identity and asymptotic checks {passed}/{total}, {elapsed:.2f}s")
@@ -71,7 +72,7 @@ def test_criterion_1_collar_identities():
 
 def test_criterion_2_thick_thin_constants():
     t0 = time.perf_counter()
-    passed, total = check_epsilon_constants(np.random.default_rng(42))
+    passed, total = check_epsilon_constants(SplitMix64(42))
     elapsed = time.perf_counter() - t0
     ok = passed == total and elapsed < 1.0
     _line(
@@ -86,7 +87,7 @@ def test_criterion_2_thick_thin_constants():
 
 def test_criterion_3_shell_detour():
     t0 = time.perf_counter()
-    passed, total = check_shell_detour(np.random.default_rng(42))
+    passed, total = check_shell_detour(SplitMix64(42))
     elapsed = time.perf_counter() - t0
     ok = total == 10_000 and passed == total and elapsed < 5.0
     _line(3, ok, f"{total} pairs, {total - passed} violations, {elapsed:.2f}s")
@@ -97,7 +98,7 @@ def test_criterion_3_shell_detour():
 
 def test_criterion_4_collar_dirichlet_grid_and_window():
     t0 = time.perf_counter()
-    passed, total = check_collar_ode(np.random.default_rng(42))
+    passed, total = check_collar_ode(SplitMix64(42))
     grid_ok = passed == total == 9
     wide = collar_dirichlet_lambda1_batch([12.0])[0][0]
     window_ok = 0.25 < wide < 0.251
@@ -129,7 +130,7 @@ def test_criterion_4_companion_window_needs_far_wider_collar():
 
 def test_criterion_5_energy_lemmas():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
+    rng = SplitMix64(42)
     crossing_passed, crossing_total = check_crossing_energy(rng)
     cutoff_passed, cutoff_total = check_cutoff_extension(rng)
     elapsed = time.perf_counter() - t0
@@ -152,7 +153,7 @@ def test_criterion_5_energy_lemmas():
 
 def test_criterion_6_interval_lemma():
     t0 = time.perf_counter()
-    passed, total = check_interval_cut(np.random.default_rng(42))
+    passed, total = check_interval_cut(SplitMix64(42))
     elapsed = time.perf_counter() - t0
     ok = passed == total == 500 and elapsed < 10.0
     _line(

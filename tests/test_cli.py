@@ -15,7 +15,7 @@ import hypspec.spectral.gridfun
 import hypspec.verify
 from hypspec.spectral.collar_ode import ExtrapolationWarning
 from hypspec.spectral.corpus import CROSSING_SHAPES, CUTOFF_SHAPES
-from hypspec.verify import CHECKS
+from hypspec.verify import CHECKS, SplitMix64
 from hypspec.cli import (
     EXIT_INADMISSIBLE_EPSILON,
     EXIT_INVALID_INPUT,
@@ -637,7 +637,7 @@ def test_verify_draws_shell_detours_in_whole_array_rounds(capsys, monkeypatch):
     assert code == EXIT_OK
     assert out == VERIFY_SEED_42
     # each round draws four arrays of one size, as many attempts as pairs
-    # are still missing; seed 42 takes 4 rounds, not a call per attempt
+    # are still missing; seed 42 takes 3 rounds, not a call per attempt
     assert len(calls) % 4 == 0
     rounds = [calls[k : k + 4] for k in range(0, len(calls), 4)]
     sizes = [round_calls[0][1] for round_calls in rounds]
@@ -743,7 +743,7 @@ def test_energy_and_interval_checks_pass_in_full_on_fifty_seeds():
     upto = CHECKS[: names.index("cutoff-extension") + 1]
     failing = {}
     for seed in range(50):
-        rng = np.random.default_rng(seed)
+        rng = SplitMix64(seed)
         results = {name: check(rng) for name, check in upto}
         for name in ("interval-cut", "crossing-energy", "cutoff-extension"):
             passed, total = results[name]
@@ -758,6 +758,32 @@ def test_a_fresh_verify_never_imports_numpy_ma(fresh_runs):
     assert code == EXIT_OK
     assert out == VERIFY_SEED_42
     assert "numpy.ma" not in modules
+
+
+def test_a_fresh_verify_never_loads_numpy_random(fresh_runs):
+    # importing numpy.random raises a fresh process's peak RSS from about
+    # 27 to 33 MB, over half of it OpenSSL (secrets -> hmac -> _hashlib)
+    # for entropy seeding; verify draws from its own SplitMix64 stream
+    code, out, modules = fresh_runs["verify", "--seed", "42"]
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42
+    assert not {m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")}
+    assert not modules & {"secrets", "hmac", "_hashlib"}
+
+
+def test_exit_code_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--seed", "-1")
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_verify_accepts_seeds_of_two_to_the_64_and_above(capsys):
+    # read modulo 2^64: the stream of 2^64 + 42 is that of 42
+    seed = 2**64 + 42
+    code, out, _ = run(capsys, "verify", "--seed", str(seed))
+    assert code == EXIT_OK
+    assert out == VERIFY_SEED_42.replace("(seed=42)", f"(seed={seed})")
 
 
 def test_exit_code_verify_failed(capsys, monkeypatch):
