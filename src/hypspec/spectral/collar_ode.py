@@ -48,10 +48,11 @@ round runs the rounds a J = 16 start would run, on the same matrices.
 The largest solve, a 512 x 512 matrix on 2080 nodes, costs about 0.1 s and
 28 MB the first time (the rules and cos tables of all six basis sizes,
 17 MB of them the largest table) and about 17 ms after that.  Each
-matrix is the sum of two strided views of its moments, so no index
-array is built or cached.
+matrix is the sum of two strided views of its moments, plus its kinetic
+diagonal through a strided view, so no index array is built or cached.
 A result more than 1e-9 relative below the floor cannot come from a
-correct solve and raises ArithmeticError.
+correct solve and raises ArithmeticError; a width below about 3.63e-153,
+where the first round's kinetic term overflows, raises ValueError.
 """
 from __future__ import annotations
 
@@ -138,19 +139,6 @@ def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, table
 
 
-@functools.lru_cache(maxsize=None)
-def _kinetic(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal index of the n x n matrices and their kinetic numerators (2p + 1) pi.
-
-    The kinetic diagonal is 1/4 + ((2p + 1) pi / 2w)^2.  Cached per
-    basis size, like :func:`_moment_table`; the arrays are read-only.
-    """
-    i = np.arange(n)
-    odd_pi = (2 * i + 1) * math.pi
-    i.flags.writeable = odd_pi.flags.writeable = False
-    return i, odd_pi
-
-
 def _toeplitz_plus_hankel(moments: np.ndarray, n: int) -> np.ndarray:
     """0.25 (m_|p-q| + m_(p+q+1)) for p, q < n, one n x n matrix per row of moments.
 
@@ -184,8 +172,9 @@ def _ritz_pair(half_widths: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]
     # would round a one-width call differently from a batch
     moments = (sech2[:, None, :] @ table)[:, 0]
     matrices = _toeplitz_plus_hankel(moments, n)
-    diagonal, odd_pi = _kinetic(n)
-    matrices[:, diagonal, diagonal] += 0.25 + (odd_pi / (2.0 * half_widths[:, None])) ** 2
+    # the kinetic diagonal 1/4 + ((2p + 1) pi / 2w)^2, added through a strided view
+    odd_pi = np.arange(1, 2 * n, 2) * math.pi
+    matrices.reshape(-1, n * n)[:, :: n + 1] += 0.25 + (odd_pi / (2.0 * half_widths[:, None])) ** 2
     fine = np.linalg.eigvalsh(matrices)[:, 0]
     coarse = np.linalg.eigvalsh(matrices[:, :j, :j])[:, 0]
     return coarse, fine
@@ -204,6 +193,13 @@ def collar_dirichlet_lambda1_batch(half_widths) -> tuple[np.ndarray, np.ndarray]
     bad = widths[~(np.isfinite(widths) & (widths > 0.0))]
     if bad.size:
         raise ValueError(f"half_width must be positive and finite, got {bad[0]}")
+    # the first round's largest kinetic term ((4 J_START - 1) pi / 2w)^2 must be finite
+    with np.errstate(over="ignore"):
+        tiny = widths[np.isinf(((4 * J_START - 1) * math.pi / (2.0 * widths)) ** 2)]
+    if tiny.size:
+        raise ValueError(
+            f"half_width {tiny[0]} is too small: the J={J_START} kinetic term overflows"
+        )
     values = np.empty_like(widths)
     estimates = np.empty_like(widths)
     todo = np.arange(widths.size)
@@ -219,25 +215,20 @@ def collar_dirichlet_lambda1_batch(half_widths) -> tuple[np.ndarray, np.ndarray]
             break
         todo = todo[estimates[todo] > RITZ_RTOL * values[todo]]
         j *= 2
-    # a screen for the loop below, which decides: the floor's margin is
-    # halved here, so the array floor's rounding cannot hide a value under it
     floors = 0.25 + (math.pi / (2.0 * widths)) ** 2
-    if not (
-        np.any(estimates > RITZ_RTOL * values) or np.any(values < floors * (1.0 - 0.5e-9))
-    ):
-        return values, estimates
-    for w, lam, err in zip(widths.tolist(), values.tolist(), estimates.tolist()):
-        if err > RITZ_RTOL * lam:
+    unresolved = estimates > RITZ_RTOL * values
+    below = values < floors * (1.0 - 1e-9)
+    for i in np.flatnonzero(unresolved | below).tolist():
+        w, lam, err, floor = (float(a[i]) for a in (widths, values, estimates, floors))
+        if unresolved[i]:
             warnings.warn(
                 f"collar eigenvalue at half_width={w!r} not resolved at J={j}: "
                 f"{lam!r} with error estimate {err:.3g} (> {RITZ_RTOL:g} relative)",
                 ExtrapolationWarning,
                 stacklevel=2,
             )
-        floor = 0.25 + (math.pi / (2.0 * w)) ** 2
-        if lam < floor * (1.0 - 1e-9):
+        if below[i]:
             raise ArithmeticError(
                 f"collar eigenvalue {lam!r} at half_width={w!r} is below the floor {floor!r}"
             )
     return values, estimates
-

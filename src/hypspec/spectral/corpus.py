@@ -142,8 +142,8 @@ def cutoff_corpus(
     0.9 * delta * c — the shell budget shrinks like sigma^2 while the
     core mass stays pinned to the plateau, so this terminates fast.
     Returns one pair (stack, floors) per shape of :data:`CUTOFF_SHAPES`;
-    each halving round resamples only the stack's functions still over
-    budget.
+    each halving round rebuilds and measures the shape's whole stack,
+    and the last round's stack and core masses are returned.
     """
     u = rng.random((count, 4))
     widths = np.array([CUTOFF_SHAPES[k % len(CUTOFF_SHAPES)][1] for k in range(count)])
@@ -160,21 +160,14 @@ def cutoff_corpus(
     for s, (ell, w) in enumerate(CUTOFF_SHAPES[:count]):
         # (k, 1, 1) columns, one row per function of the shape
         sigma, taper_start, modulation, phase = params[s::step].T[:, :, None, None]
-        f = _plateau_stack(ell, w, taper_start, sigma, modulation, phase)
-        radial, circular = np.empty(f.radial.shape), np.empty(f.circular.shape)
-        p = np.arange(len(radial))
-        floors = np.empty(p.size)
         while True:
+            f = _plateau_stack(ell, w, taper_start, sigma, modulation, phase)
             c = l2_norm_sq(f, "core")
             budget = 0.9 * delta * c
             done = (l2_norm_sq(f, "shell") <= budget) & (dirichlet_energy(f, "shell") <= budget)
-            radial[p[done]], circular[p[done]] = f.radial[done], f.circular[done]
-            floors[p[done]] = c[done]
-            p = p[~done]
-            if p.size == 0:
+            if done.all():
                 break
-            sigma[p] *= 0.5
-            modulation[p] *= 0.5
-            f = _plateau_stack(ell, w, taper_start[p], sigma[p], modulation[p], phase[p])
-        out.append((f.with_factors(radial, circular), floors))
+            sigma[~done] *= 0.5
+            modulation[~done] *= 0.5
+        out.append((f, c))
     return out

@@ -107,21 +107,16 @@ class NetworkModel:
     def laplacian(self) -> np.ndarray:
         """Weighted Laplacian; self-loops add nothing.
 
-        Each edge adds its conductance at (a, a) and (b, b) and takes it
-        away at (a, b) and (b, a).  One unbuffered ``np.add.at`` does every
-        addition in that order, edge by edge, so every entry is rounded as
-        a loop over the edges would round it.
+        One loop over the edges in order: each edge adds its conductance
+        at (a, a) and (b, b) and takes it away at (a, b) and (b, a).
         """
-        n = self.n_nodes
-        links = [e for e in self.edges if e.a != e.b]
-        rows = [i for e in links for i in (e.a, e.b, e.a, e.b)]
-        cols = [i for e in links for i in (e.a, e.b, e.b, e.a)]
-        values = [
-            v for e in links
-            for v in (e.conductance, e.conductance, -e.conductance, -e.conductance)
-        ]
-        lap = np.zeros((n, n))
-        np.add.at(lap, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), values)
+        lap = np.zeros((self.n_nodes, self.n_nodes))
+        for e in self.edges:
+            if e.a != e.b:
+                lap[e.a, e.a] += e.conductance
+                lap[e.b, e.b] += e.conductance
+                lap[e.a, e.b] -= e.conductance
+                lap[e.b, e.a] -= e.conductance
         return lap
 
     def to_dict(self) -> dict:

@@ -674,8 +674,8 @@ def test_verify_computes_energies_per_stack_not_per_function(capsys, monkeypatch
     checks = {key: n for key, n in calls.items() if key[0] == "check"}
     assert len(checks) == len(CROSSING_SHAPES) + len(CUTOFF_SHAPES)
     assert set(checks.values()) == {1}
-    # the corpus samples each shape's stack once, then resamples only the
-    # functions still over their shell budget; at seed 42 one halving does
+    # the corpus builds each shape's whole stack once per halving round,
+    # until no function is over its shell budget; at seed 42 one halving does
     corpus = [n for key, n in calls.items() if key[0] == "corpus"]
     assert len(corpus) == len(CUTOFF_SHAPES)
     assert max(corpus) <= 2

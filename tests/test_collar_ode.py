@@ -149,6 +149,9 @@ def test_input_validation():
             collar_dirichlet_lambda1_batch([1.0, bad, 2.0])
     values, estimates = collar_dirichlet_lambda1_batch([])
     assert values.shape == estimates.shape == (0,)
+    # ((4 J_START - 1) pi / 2w)^2 overflows below w ~ 3.63e-153
+    with pytest.raises(ValueError, match="half_width 1e-160 is too small"):
+        collar_dirichlet_lambda1_batch([1.0, 1e-160])
 
 
 @pytest.mark.parametrize(
@@ -342,6 +345,23 @@ def test_a_value_below_the_floor_raises(monkeypatch):
     monkeypatch.setattr(collar_ode, "_ritz_pair", below_floor)
     with pytest.raises(ArithmeticError, match="below the floor"):
         collar_dirichlet_lambda1_batch([2.0])
+
+    # one pass in width order: width 2.0 never resolves, width 3.0 lands
+    # under its floor
+    def mixed(widths, j):
+        fine = (0.25 + (np.pi / (2.0 * widths)) ** 2) * np.where(widths == 3.0, 1 - 1e-6, 1.5)
+        return np.where(widths == 2.0, 1.1 * fine, fine), fine
+
+    monkeypatch.setattr(collar_ode, "_ritz_pair", mixed)
+    with pytest.warns(ExtrapolationWarning, match=r"half_width=2\.0 ") as caught:
+        with pytest.raises(ArithmeticError, match=r"at half_width=3\.0 is below the floor"):
+            collar_dirichlet_lambda1_batch([2.0, 3.0])
+    assert len(caught) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArithmeticError, match=r"at half_width=3\.0 is below the floor"):
+            collar_dirichlet_lambda1_batch([3.0, 2.0])
+    assert caught == []
 
 
 def test_importing_the_package_does_not_load_scipy_linalg():
